@@ -23,11 +23,45 @@
 //!    when an explored candidate's subtree fails without `e` in its failing
 //!    set, the failure did not involve `e`'s timestamp, so every sibling
 //!    candidate fails identically and is pruned.
+//!
+//! # Where candidates come from
+//!
+//! Both candidate sets are read off the DCS, not the window. `C_M(u)` is
+//! the intersection of the DCS adjacency rows ([`Dcs::adjacent`]) of `u`'s
+//! mapped neighbour images — rows that list exactly the edge groups with
+//! nonzero multiplicity, so a stronger filter makes them shorter — and every
+//! row entry names its edge group. The group of each incident mapped edge
+//! is stored in `egroup[e]` when `u` is mapped, so `EC_M(e)` is a time
+//! window over that group's admitted records ([`Dcs::group_records`]): the
+//! search never resolves a vertex pair to a window bucket and never probes
+//! the filter bank per parallel edge. (The seed edge needs no group: a
+//! query has at most one edge per vertex pair, so pinning the seed's two
+//! endpoints makes no *other* edge pending.)
+//!
+//! # Case-2 soundness
+//!
+//! Let every edge of `R⁻_M(e)` succeed `e` (the other side is symmetric),
+//! and let the ascending scan fail at candidate `σ_i`. Suppose a later
+//! candidate `σ_j` (`t_j ≥ t_i`) had an embedding `M'` in its subtree.
+//! Swap `σ_i` in for `σ_j`: it joins the same two images; it satisfies the
+//! constraints against `R⁺_M(e)` because it is in `EC_M(e)`; every edge of
+//! `R⁻_M(e)` is mapped in `M'` to a time `> t_j ≥ t_i`; and no other
+//! constraint mentions `e`. No other query edge can be using `σ_i` (one
+//! query edge per vertex pair), so the swap is an embedding in `σ_i`'s
+//! subtree — a contradiction. Hence the scan may stop at the first failure.
+//!
+//! # Structural failures
+//!
+//! A vertex node with no candidates fails with the *empty* failing set.
+//! `C_M(u)` depends on `d2`, on injectivity and on DCS edge support towards
+//! the mapped neighbours — none of which reads a mapped edge's timestamp —
+//! so no edge is to blame and Case 3 may prune every sibling candidate of
+//! whichever edge node sits above.
 
 use crate::config::EngineConfig;
 use crate::embedding::EmbeddingArena;
 use crate::stats::EngineStats;
-use tcsm_dcs::Dcs;
+use tcsm_dcs::{Dcs, End, GroupId, Record, RowEntry};
 use tcsm_filter::{CandPair, FilterBank};
 use tcsm_graph::{
     EdgeKey, QEdgeId, QVertexId, QueryGraph, Set64, TemporalEdge, Ts, VertexId, WindowGraph,
@@ -98,14 +132,36 @@ pub(crate) struct MatcherScratch {
     vmap: Vec<Option<VertexId>>,
     emap: Vec<Option<EdgeKey>>,
     etime: Vec<Ts>,
+    /// DCS edge group of each query edge whose endpoints are both mapped
+    /// (written when the later endpoint is mapped).
+    egroup: Vec<GroupId>,
     used_vertices: Vec<VertexId>,
     /// Collected embeddings, flat in a bump arena (drained/materialized by
     /// the engine after each event — the search path never allocates).
     pub(crate) found: EmbeddingArena,
-    /// Recycled edge-candidate buffers, one in flight per recursion depth.
-    cand_pool: Vec<Vec<(EdgeKey, Ts)>>,
-    /// Recycled vertex-candidate buffers.
-    vcand_pool: Vec<Vec<VertexId>>,
+    /// Recycled edge-candidate buffers for batched sweeps (a serial sweep
+    /// borrows its candidates from the DCS).
+    cand_pool: Vec<Vec<Record>>,
+    /// Recycled vertex-candidate buffers (each with its group-id array).
+    vcand_pool: Vec<VertexCands>,
+}
+
+/// `C_M(u)` with, per candidate, the DCS group of every incident mapped edge.
+#[derive(Default)]
+struct VertexCands {
+    /// Candidate images, ascending.
+    verts: Vec<VertexId>,
+    /// `stride` ids per candidate: one per incident edge of `u` whose other
+    /// endpoint is mapped, in `incident_edges(u)` order.
+    groups: Vec<GroupId>,
+    stride: usize,
+}
+
+impl VertexCands {
+    fn clear(&mut self) {
+        self.verts.clear();
+        self.groups.clear();
+    }
 }
 
 impl MatcherScratch {
@@ -118,6 +174,8 @@ impl MatcherScratch {
         self.emap.resize(ne, None);
         self.etime.clear();
         self.etime.resize(ne, Ts::ZERO);
+        self.egroup.clear();
+        self.egroup.resize(ne, 0);
         self.used_vertices.clear();
         debug_assert!(self.found.is_empty(), "engine drains found between events");
         self.found.reset(nv, ne);
@@ -344,17 +402,12 @@ impl<'a> Matcher<'a> {
     }
 
     /// Smallest unmapped query edge whose endpoints are both mapped.
+    #[inline]
     fn next_pending_edge(&self) -> Option<QEdgeId> {
-        for e in 0..self.q.num_edges() {
-            if self.mapped_edges.contains(e) {
-                continue;
-            }
-            let qe = self.q.edge(e);
-            if self.mapped_vertices.contains(qe.a) && self.mapped_vertices.contains(qe.b) {
-                return Some(e);
-            }
-        }
-        None
+        Set64::all(self.q.num_edges())
+            .difference(self.mapped_edges)
+            .iter()
+            .find(|&e| self.q.endpoint_set(e).is_subset_of(self.mapped_vertices))
     }
 
     /// Emits the current complete mapping.
@@ -373,16 +426,24 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// Computes `EC_M(e)` in chronological order into `out` (a pooled
-    /// buffer — no allocation on the steady-state search path).
-    fn fill_candidates(&self, e: QEdgeId, out: &mut Vec<(EdgeKey, Ts)>) {
-        let qe = self.q.edge(e);
-        let va = self.s.vmap[qe.a].expect("both endpoints of an extendable edge are mapped");
-        let vb = self.s.vmap[qe.b].expect("both endpoints of an extendable edge are mapped");
-        let Some(bucket) = self.g.pair(va, vb) else {
-            return;
-        };
-        // Temporal bounds from R⁺ (Definition V.2).
+    /// `EC_M(e)` in chronological order: the records of `e`'s DCS edge
+    /// group — the data edges between the endpoint images that the filter
+    /// admits for `e` in this orientation, in arrival order — inside the
+    /// temporal bounds set by `R⁺_M(e)` (Definition V.2). Records ascend in
+    /// time, so the bounds cut out one contiguous subslice, borrowed from
+    /// the DCS. The group id was stored in `egroup[e]` by `extend_vertex`
+    /// when it mapped `e`'s later endpoint.
+    fn edge_candidates(&self, e: QEdgeId) -> &'a [Record] {
+        debug_assert_eq!(
+            {
+                let dag = self.dcs.dag();
+                let img = |u: QVertexId| self.s.vmap[u].expect("pending edge has mapped endpoints");
+                self.dcs.group_of(e, img(dag.tail(e)), img(dag.head(e)))
+            },
+            Some(self.s.egroup[e]),
+            "egroup out of step with the vertex mapping"
+        );
+        let records = self.dcs.group_records(self.s.egroup[e]);
         let (mut lo, mut hi) = (Ts::NEG_INF, Ts::INF);
         if self.cfg.preset.temporal_candidates() {
             let order = self.q.order();
@@ -394,41 +455,34 @@ impl<'a> Matcher<'a> {
                 }
             }
         }
-        for rec in bucket.iter() {
-            if !(lo < rec.time && rec.time < hi) {
-                continue;
-            }
-            // Batched sweeps hide same-timestamp records the serial event
-            // order would not have made visible to this seed.
-            if self.batch.is_some_and(|b| b.excludes(rec.key, rec.time)) {
-                continue;
-            }
-            // DCS membership of the oriented pair.
-            let src = if rec.src_is_a { bucket.a } else { bucket.b };
-            let pair = CandPair {
-                qedge: e,
-                key: rec.key,
-                a_to_src: va == src,
-            };
-            if self.bank.contains(pair) {
-                out.push((rec.key, rec.time));
-            }
-        }
+        let start = records.partition_point(|r| r.1 <= lo);
+        let len = records[start..].partition_point(|r| r.1 < hi);
+        &records[start..start + len]
     }
 
     /// Matches the pending edge `e` over its candidates, with §V pruning.
     fn match_edge(&mut self, e: QEdgeId) -> Outcome {
-        let mut ec = self.s.cand_pool.pop().unwrap_or_default();
-        debug_assert!(ec.is_empty());
-        self.fill_candidates(e, &mut ec);
-        let out = self.match_edge_with(e, &ec);
-        ec.clear();
-        self.s.cand_pool.push(ec);
+        let ec = self.edge_candidates(e);
+        // Batched sweeps hide same-timestamp records the serial event order
+        // would not have made visible to this seed; only then is a copy
+        // (into a pooled buffer) needed.
+        let Some(batch) = self
+            .batch
+            .filter(|b| ec.iter().any(|r| b.excludes(r.0, r.1)))
+        else {
+            return self.match_edge_with(e, ec);
+        };
+        let mut visible = self.s.cand_pool.pop().unwrap_or_default();
+        debug_assert!(visible.is_empty());
+        visible.extend(ec.iter().filter(|r| !batch.excludes(r.0, r.1)));
+        let out = self.match_edge_with(e, &visible);
+        visible.clear();
+        self.s.cand_pool.push(visible);
         out
     }
 
     /// The dispatch over the §V cases, with candidates already computed.
-    fn match_edge_with(&mut self, e: QEdgeId, ec: &[(EdgeKey, Ts)]) -> Outcome {
+    fn match_edge_with(&mut self, e: QEdgeId, ec: &[Record]) -> Outcome {
         if ec.is_empty() {
             // Pseudo-leaf (e, ∅): TF = R⁺_M(e) (Definition V.3, case 1).
             return Outcome::Failed(self.r_plus(e));
@@ -481,7 +535,7 @@ impl<'a> Matcher<'a> {
     }
 
     /// Case 1: explore one candidate; clone successes / prune failures.
-    fn match_edge_case1(&mut self, e: QEdgeId, ec: &[(EdgeKey, Ts)]) -> Outcome {
+    fn match_edge_case1(&mut self, e: QEdgeId, ec: &[Record]) -> Outcome {
         let (k0, t0) = ec[0];
         let sink_start = self.s.found.len();
         let count_start = self.found_count;
@@ -514,7 +568,7 @@ impl<'a> Matcher<'a> {
 
     /// Case 2: chronological scan (`descending` when every unmapped related
     /// edge precedes `e`); stop at the first failed candidate.
-    fn match_edge_case2(&mut self, e: QEdgeId, ec: &[(EdgeKey, Ts)], descending: bool) -> Outcome {
+    fn match_edge_case2(&mut self, e: QEdgeId, ec: &[Record], descending: bool) -> Outcome {
         let mut any_found = false;
         let mut tf_children = Set64::EMPTY;
         let n = ec.len();
@@ -528,8 +582,8 @@ impl<'a> Matcher<'a> {
                 Outcome::Found => any_found = true,
                 Outcome::Failed(tf) => {
                     // Every later candidate is strictly more constrained;
-                    // its subtree fails too (see the Case-2 soundness
-                    // argument in the module docs / DESIGN.md).
+                    // its subtree fails too (module docs, "Case-2
+                    // soundness").
                     self.stats.pruned_case2 += (n - i - 1) as u64;
                     tf_children = tf_children.union(tf);
                     break;
@@ -547,7 +601,7 @@ impl<'a> Matcher<'a> {
     fn extend_vertex(&mut self) -> Outcome {
         let mut best_cand = self.s.vcand_pool.pop().unwrap_or_default();
         let mut trial = self.s.vcand_pool.pop().unwrap_or_default();
-        debug_assert!(best_cand.is_empty() && trial.is_empty());
+        debug_assert!(best_cand.verts.is_empty() && trial.verts.is_empty());
         // Extendable vertices: unmapped with at least one mapped neighbour.
         let mut best_u: Option<QVertexId> = None;
         for u in 0..self.q.num_vertices() {
@@ -564,11 +618,11 @@ impl<'a> Matcher<'a> {
             }
             trial.clear();
             self.fill_vertex_candidates(u, &mut trial);
-            let better = best_u.is_none() || trial.len() < best_cand.len();
+            let better = best_u.is_none() || trial.verts.len() < best_cand.verts.len();
             if better {
                 std::mem::swap(&mut best_cand, &mut trial);
                 best_u = Some(u);
-                if best_cand.is_empty() {
+                if best_cand.verts.is_empty() {
                     break;
                 }
             }
@@ -576,9 +630,9 @@ impl<'a> Matcher<'a> {
         let out = match best_u {
             // Unreachable for connected queries, but stay safe; an empty
             // candidate set is a structural failure — no timestamps
-            // involved (DESIGN.md §4).
+            // involved (module docs, "Structural failures").
             None => Outcome::Failed(Set64::EMPTY),
-            Some(_) if best_cand.is_empty() => Outcome::Failed(Set64::EMPTY),
+            Some(_) if best_cand.verts.is_empty() => Outcome::Failed(Set64::EMPTY),
             Some(u) => {
                 let mut any_found = false;
                 let mut tf_children = Set64::EMPTY;
@@ -586,8 +640,16 @@ impl<'a> Matcher<'a> {
                 // Indexed loop: `best_cand` must stay owned while `self` is
                 // mutably borrowed by the recursion.
                 #[allow(clippy::needless_range_loop)]
-                for i in 0..best_cand.len() {
-                    let v = best_cand[i];
+                for i in 0..best_cand.verts.len() {
+                    let v = best_cand.verts[i];
+                    let groups = &best_cand.groups[i * best_cand.stride..][..best_cand.stride];
+                    let mapped = self.mapped_vertices;
+                    let incident = self.q.incident_edges(u).iter();
+                    for (&(e, _), &gid) in
+                        incident.filter(|&&(_, w)| mapped.contains(w)).zip(groups)
+                    {
+                        self.s.egroup[e] = gid;
+                    }
                     self.map_vertex(u, v);
                     let out = self.search(Last::Vertex);
                     self.unmap_vertex(u);
@@ -616,95 +678,95 @@ impl<'a> Matcher<'a> {
         out
     }
 
-    /// DCS edge support of candidate `v` for query edge `e` towards the
-    /// mapped image `img_w`, read straight off the bucket id (`tail(e) ≠ u`
-    /// means the mapped endpoint is the DAG tail).
+    /// The DCS row holding `u`'s candidates along its incident edge `e`,
+    /// whose other endpoint is mapped to `img`: `img` plays the end of `e`
+    /// that `u` does not.
     #[inline]
-    fn edge_supported(
-        &self,
-        e: QEdgeId,
-        u: QVertexId,
-        img_w: VertexId,
-        v: VertexId,
-        pid: tcsm_graph::PairId,
-    ) -> bool {
-        let tail_lt_head = if self.dcs.dag().tail(e) == u {
-            v < img_w
+    fn dcs_row(&self, e: QEdgeId, u: QVertexId, img: VertexId) -> &'a [RowEntry] {
+        let end = if self.dcs.dag().tail(e) == u {
+            End::Head
         } else {
-            img_w < v
+            End::Tail
         };
-        self.dcs.mult_at(pid, e, tail_lt_head) > 0
+        self.dcs.adjacent(e, end, img)
     }
 
-    /// `C_M(u)`: structural candidates of `u` (label, `d2`, injectivity, and
-    /// DCS edge support towards every mapped neighbour), written into a
-    /// pooled buffer. Temporal checks are deferred to the edge nodes so
-    /// failing sets stay sound.
+    /// `C_M(u)`: structural candidates of `u` — `d2`, injectivity, and a
+    /// live DCS edge group towards every mapped neighbour — written
+    /// ascending into a pooled buffer together with the id of each of those
+    /// groups. Temporal checks are deferred to the edge nodes so failing
+    /// sets stay sound.
     ///
-    /// The window hands out stable pair-bucket ids, and every vertex's
-    /// `(neighbour, id)` array is sorted, so support checks are pure array
-    /// walks: the pivot's array seeds the candidates (checking the pivot
-    /// edge's DCS row by id), and each further mapped neighbour prunes them
-    /// with one two-pointer merge — no per-candidate `(v, w) → PairId`
-    /// binary searches. A drained (dying) bucket's multiplicities are all
-    /// zero, so stale adjacency entries reject themselves.
-    fn fill_vertex_candidates(&self, u: QVertexId, out: &mut Vec<VertexId>) {
-        // Pivot: the mapped neighbour with the smallest alive neighbourhood.
-        let mut pivot: Option<(QEdgeId, VertexId, usize)> = None;
-        for &(e, w) in self.q.incident_edges(u) {
-            if let Some(img) = self
-                .mapped_vertices
-                .contains(w)
-                .then(|| self.s.vmap[w].expect("mapped_vertices bit implies a vmap entry"))
-            {
-                let n = self.g.num_neighbors(img);
-                if pivot.is_none_or(|(_, _, pn)| n < pn) {
-                    pivot = Some((e, img, n));
-                }
+    /// Each mapped neighbour image contributes one DCS adjacency row (sorted
+    /// `(candidate, group)`, listing exactly the groups with nonzero
+    /// multiplicity). If any row is empty there is no candidate. Otherwise
+    /// the **shortest** row is the pivot: its entries passing `d2(u, ·)` and
+    /// injectivity seed the set, and every other row prunes it with one
+    /// two-pointer merge, contributing its group ids as it goes.
+    ///
+    /// The set is `{v : d2(u, v) ∧ v unused ∧ mult > 0 towards every mapped
+    /// neighbour}` in ascending `v` whichever row pivots — what walking the
+    /// window adjacency and probing `mult` per neighbour produced — so the
+    /// search visits the same nodes in the same order; only the rows read
+    /// are as sparse as the DCS instead of as dense as the window.
+    fn fill_vertex_candidates(&self, u: QVertexId, out: &mut VertexCands) {
+        let mapped = |&&(_, w): &&(QEdgeId, QVertexId)| self.mapped_vertices.contains(w);
+        let image =
+            |w: QVertexId| self.s.vmap[w].expect("mapped_vertices bit implies a vmap entry");
+        let mut stride = 0usize;
+        let mut pivot: Option<(usize, &[RowEntry])> = None;
+        for &(e, w) in self.q.incident_edges(u).iter().filter(mapped) {
+            let row = self.dcs_row(e, u, image(w));
+            if row.is_empty() {
+                return;
             }
+            if pivot.is_none_or(|(_, p)| row.len() < p.len()) {
+                pivot = Some((stride, row));
+            }
+            stride += 1;
         }
-        let (pivot_e, pivot_img, _) = pivot.expect("extendable vertex has a mapped neighbour");
-        for &(v, pid) in self.g.neighbor_entries(pivot_img) {
+        let (pivot_slot, pivot_row) = pivot.expect("extendable vertex has a mapped neighbour");
+        out.stride = stride;
+        for &(v, gid) in pivot_row {
             // `d2 ⊆ label-match` (Dcs::refresh_node gates d1 — and hence d2
-            // — on label compatibility), so the old per-candidate label
-            // probe was redundant: the d2 bitmap test subsumes it and is
-            // the more selective gate, so it runs first.
+            // — on label compatibility), so no label probe is needed.
             if !self.dcs.d2(u, v) || self.vertex_used(v) {
                 continue;
             }
             debug_assert_eq!(self.g.label(v), self.q.label(u), "d2 outside label match");
-            if self.edge_supported(pivot_e, u, pivot_img, v, pid) {
-                out.push(v);
-            }
+            out.verts.push(v);
+            let base = out.groups.len();
+            out.groups.resize(base + stride, 0);
+            out.groups[base + pivot_slot] = gid;
         }
-        // Intersect with the DCS rows of every other mapped neighbour:
-        // `out` and the neighbour arrays are both ascending, so each pass
-        // is one linear merge.
-        for &(e, w) in self.q.incident_edges(u) {
-            if e == pivot_e || !self.mapped_vertices.contains(w) {
+        // Intersect with the row of every other mapped neighbour: `out` and
+        // the rows are both ascending, so each pass is one linear merge that
+        // compacts survivors (ids included) to the front.
+        for (slot, &(e, w)) in self.q.incident_edges(u).iter().filter(mapped).enumerate() {
+            if slot == pivot_slot {
                 continue;
             }
-            if out.is_empty() {
+            if out.verts.is_empty() {
                 return;
             }
-            let img_w = self.s.vmap[w].expect("mapped_vertices bit implies a vmap entry");
-            let entries = self.g.neighbor_entries(img_w);
+            let row = self.dcs_row(e, u, image(w));
             let mut cursor = 0usize;
             let mut keep = 0usize;
-            for idx in 0..out.len() {
-                let v = out[idx];
-                while cursor < entries.len() && entries[cursor].0 < v {
+            for idx in 0..out.verts.len() {
+                let v = out.verts[idx];
+                while cursor < row.len() && row[cursor].0 < v {
                     cursor += 1;
                 }
-                if cursor < entries.len()
-                    && entries[cursor].0 == v
-                    && self.edge_supported(e, u, img_w, v, entries[cursor].1)
-                {
-                    out[keep] = v;
+                if cursor < row.len() && row[cursor].0 == v {
+                    out.verts[keep] = v;
+                    out.groups
+                        .copy_within(idx * stride..(idx + 1) * stride, keep * stride);
+                    out.groups[keep * stride + slot] = row[cursor].1;
                     keep += 1;
                 }
             }
-            out.truncate(keep);
+            out.verts.truncate(keep);
+            out.groups.truncate(keep * stride);
         }
     }
 }

@@ -559,7 +559,8 @@ impl QueryRuntime {
     ///   alive window through the bank membership: for every alive edge,
     ///   query edge and valid orientation, the pair contributes one
     ///   multiplicity to its `(pair bucket, edge, tail < head)` slot iff
-    ///   its membership bit is set.
+    ///   its membership bit is set — and is then a record of that slot's
+    ///   edge group in the DCS adjacency index.
     /// * **Cheap** — the stats conservation laws: `batches ≤ events`,
     ///   `kernel_early_exits ≤ kernel_invocations`, `peak ≤ sum` for both
     ///   DCS size series, `parallel_sweeps ≤ parallel_sweep_seeds`, and
@@ -600,6 +601,17 @@ impl QueryRuntime {
                         let v_head = pair.image_of(&self.q, sigma, self.dag.head(e));
                         if let Some(pid) = window.pair_id(v_tail, v_head) {
                             *expected.entry((pid, e, v_tail < v_head)).or_insert(0) += 1;
+                        }
+                        let rec = (sigma.key, sigma.time);
+                        if !self.dcs.group_holds(e, v_tail, v_head, rec) {
+                            out.push(AuditViolation::new(
+                                "dcs-adjacency-index",
+                                format!(
+                                    "admitted pair (e{e}, {:?}) is not a record of group \
+                                     (v{v_tail}, v{v_head})",
+                                    sigma.key
+                                ),
+                            ));
                         }
                     }
                 }
@@ -684,8 +696,15 @@ impl QueryRuntime {
     /// Overlays serialized state onto a freshly constructed runtime of the
     /// same query, window shape and configuration. The stored window length
     /// must match this runtime's — a snapshot taken under a different δ
-    /// describes a different stream and is refused as corrupt.
-    pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+    /// describes a different stream and is refused as corrupt. `window` is
+    /// the already-restored window the snapshot was taken over: the DCS
+    /// rebuilds its (unserialized) adjacency index from it and the restored
+    /// bank's membership.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        window: &WindowGraph,
+    ) -> Result<(), CodecError> {
         let delta = dec.get_i64()?;
         if delta != self.delta {
             return Err(CodecError::Invalid(format!(
@@ -700,7 +719,8 @@ impl QueryRuntime {
         self.bank.restore_state(&mut sec)?;
         sec.finish()?;
         let mut sec = dec.section()?;
-        self.dcs.restore_state(&mut sec)?;
+        self.dcs
+            .restore_state(&mut sec, &self.q, window, |p| self.bank.contains(p))?;
         sec.finish()?;
         self.stats = stats;
         Ok(())

@@ -74,6 +74,36 @@ fn corrupted_d2_bit_is_caught() {
 }
 
 #[test]
+fn dropped_adjacency_row_entry_is_caught() {
+    let (q, g, delta) = workload();
+    let mut e = half_run_engine(&q, &g, delta);
+    assert!(
+        e.runtime_mut().dcs_mut().corrupt_index(false),
+        "workload produced no DCS edge groups to corrupt"
+    );
+    let names = names(&e);
+    assert!(
+        names.contains(&"dcs-adjacency-index"),
+        "dropped adjacency entry not caught: {names:?}"
+    );
+}
+
+#[test]
+fn stale_adjacency_group_id_is_caught() {
+    let (q, g, delta) = workload();
+    let mut e = half_run_engine(&q, &g, delta);
+    assert!(
+        e.runtime_mut().dcs_mut().corrupt_index(true),
+        "workload produced no DCS edge groups to corrupt"
+    );
+    let names = names(&e);
+    assert!(
+        names.contains(&"dcs-adjacency-index"),
+        "stale group id not caught: {names:?}"
+    );
+}
+
+#[test]
 fn unpinned_pad_lane_is_caught() {
     let (q, g, delta) = workload();
     let mut e = half_run_engine(&q, &g, delta);

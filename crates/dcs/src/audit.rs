@@ -7,8 +7,10 @@
 //! matcher's label-free candidate iteration). The Deep tier recomputes
 //! `d1`/`d2` as a fixpoint from the multiplicity index and recounts every
 //! support counter from the window's neighbourhood lists — the invariant
-//! the incremental `DCSInsertion`/`DCSDeletion` worklist must preserve.
+//! the incremental `DCSInsertion`/`DCSDeletion` worklist must preserve —
+//! and checks the adjacency index against the multiplicity slab.
 
+use crate::index::{arrival, End};
 use crate::node::Dcs;
 use tcsm_graph::{
     AuditLevel, AuditViolation, FxHashMap, PairId, QEdgeId, QueryGraph, VertexId, WindowGraph,
@@ -25,7 +27,10 @@ impl Dcs {
     /// * **Deep**: additionally recomputes `d1` (topological fixpoint over
     ///   the multiplicity index) and `d2` (reverse order), compares every
     ///   bit, and recounts every `n1`/`n2` support counter from the
-    ///   window's neighbour lists under the fixpoint candidacies.
+    ///   window's neighbour lists under the fixpoint candidacies; the
+    ///   adjacency index must list exactly the groups with nonzero
+    ///   multiplicity in strictly sorted rows, each group holding `mult`
+    ///   records in arrival order.
     pub fn audit(
         &self,
         q: &QueryGraph,
@@ -115,6 +120,7 @@ impl Dcs {
         if !level.deep() {
             return;
         }
+        self.audit_index(g, out);
         // Fixpoint d1 in topological order, then d2 in reverse order — the
         // ground truth the worklist maintenance must track.
         let mut d1 = vec![vec![false; n]; nq];
@@ -210,6 +216,93 @@ impl Dcs {
         }
     }
 
+    /// The adjacency index against the multiplicity slab: every group with
+    /// `mult > 0` is listed in both of its rows under one group id, holds
+    /// `mult` records in strictly ascending arrival order, and the rows
+    /// and record lists hold nothing else (entry total = two per group,
+    /// record total = `mult_total`); each row is non-empty and strictly
+    /// ascending.
+    fn audit_index(&self, g: &WindowGraph, out: &mut Vec<AuditViolation>) {
+        let mut bad = |detail: String| out.push(AuditViolation::new("dcs-adjacency-index", detail));
+        for (idx, &m) in self.mult.iter().enumerate().filter(|&(_, &m)| m != 0) {
+            let pid = (idx / self.m2) as PairId;
+            let (e, tail_lt_head) = ((idx % self.m2) / 2, idx % 2 == 1);
+            if pid as usize >= g.pair_slab_len() {
+                bad(format!("mult on pair {pid} beyond the window's slab"));
+                continue;
+            }
+            let bucket = g.pair_by_id(pid);
+            let (v_tail, v_head) = if tail_lt_head {
+                (bucket.a, bucket.b)
+            } else {
+                (bucket.b, bucket.a)
+            };
+            let Some(gid) = self.group_of(e, v_tail, v_head) else {
+                bad(format!(
+                    "tail row (e{e}, v{v_tail}) misses v{v_head} (mult {m})"
+                ));
+                continue;
+            };
+            let head_row = self.adjacent(e, End::Head, v_head);
+            match head_row.binary_search_by_key(&v_tail, |&(w, _)| w) {
+                Ok(pos) if head_row[pos].1 == gid => {}
+                Ok(pos) => bad(format!(
+                    "head row (e{e}, v{v_head}) lists v{v_tail} under group {} (tail row: {gid})",
+                    head_row[pos].1
+                )),
+                Err(_) => bad(format!(
+                    "head row (e{e}, v{v_head}) misses v{v_tail} (mult {m})"
+                )),
+            }
+            let records = self.index.try_records(gid).unwrap_or(&[]);
+            if records.len() != m as usize
+                || !records.windows(2).all(|w| arrival(&w[0]) < arrival(&w[1]))
+            {
+                bad(format!(
+                    "group (e{e}, v{v_tail}, v{v_head}) holds {} records for mult {m}, \
+                     or holds them out of arrival order",
+                    records.len()
+                ));
+            }
+        }
+        if self.index.num_entries() != 2 * self.mult_groups
+            || self.index.num_records() != self.mult_total
+        {
+            bad(format!(
+                "{} row entries and {} records for {} live groups of total multiplicity {}",
+                self.index.num_entries(),
+                self.index.num_records(),
+                self.mult_groups,
+                self.mult_total
+            ));
+        }
+        for (e, end, v, row) in self.index.iter() {
+            if row.is_empty() || !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                bad(format!(
+                    "{end:?} row (e{e}, v{v}) is empty or not strictly ascending"
+                ));
+            }
+        }
+    }
+
+    /// Does the group `(e, v_tail, v_head)` exist and hold `rec`? The
+    /// runtime audit asks this for every pair the bank admits; together
+    /// with the record counts checked by [`Dcs::audit`] it pins each
+    /// group's records to exactly the admitted data edges. Tolerates a
+    /// corrupt index (never panics).
+    #[doc(hidden)]
+    pub fn group_holds(
+        &self,
+        e: QEdgeId,
+        v_tail: VertexId,
+        v_head: VertexId,
+        rec: crate::index::Record,
+    ) -> bool {
+        self.group_of(e, v_tail, v_head)
+            .and_then(|gid| self.index.try_records(gid))
+            .is_some_and(|records| records.contains(&rec))
+    }
+
     /// Compares the multiplicity slab against an expected recount keyed
     /// `(pair bucket, query edge, tail < head)` — built by the runtime
     /// audit from the alive window and the bank membership (the one
@@ -259,6 +352,33 @@ impl Dcs {
         assert!(slot < self.width[u] as usize, "slot beyond counter row");
         let row = self.row(u, v);
         self.counters[row + slot] += 1;
+    }
+
+    /// Corruption hook for the negative-test corpus: drops the first entry
+    /// of some adjacency row (`stale_group = false`) or rewrites its group
+    /// id to one the pair does not own (`stale_group = true`), leaving
+    /// `mult` untouched. Returns false when the index is empty.
+    #[doc(hidden)]
+    pub fn corrupt_index(&mut self, stale_group: bool) -> bool {
+        // The smallest key, so the corruption does not depend on map order.
+        let Some((e, end, v)) = self
+            .index
+            .iter()
+            .map(|(e, end, v, _)| (e, end, v))
+            .min_by_key(|&(e, end, v)| (e, end == End::Head, v))
+        else {
+            return false;
+        };
+        let row = self
+            .index
+            .row_mut(e, end, v)
+            .expect("key taken from the index");
+        if stale_group {
+            row[0].1 = row[0].1.wrapping_add(1);
+        } else {
+            row.remove(0);
+        }
+        true
     }
 
     /// Corruption hook for the negative-test corpus: toggles one `d2` bit

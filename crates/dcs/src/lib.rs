@@ -31,12 +31,23 @@
 //! keyed by the window graph's stable pair-bucket ids and grows amortized
 //! with the peak number of concurrently alive vertex pairs, after which it
 //! is reused. Per-event work therefore allocates nothing proportional to
-//! the table sizes and performs no hashing; window expiration zeroes slots
-//! in place (`num_nodes()` returns to 0 on a drained stream — the
-//! regression tests in `tests/dense_oracle.rs` pin this).
+//! the table sizes; window expiration zeroes slots in place (`num_nodes()`
+//! returns to 0 on a drained stream — the regression tests in
+//! `tests/dense_oracle.rs` pin this).
+//!
+//! The DCS *as a graph* — which data vertices a candidate is joined to by
+//! a live DCS edge and which data edges realise that edge, the things
+//! backtracking enumerates — is the sparse adjacency index
+//! ([`Dcs::adjacent`], [`Dcs::group_records`]): sorted `(neighbour, group)`
+//! rows for exactly the edge groups with nonzero multiplicity, hash-keyed
+//! by `(query edge, end, data vertex)`, and per group the admitted data
+//! edges in arrival order. It is updated once per DCS edge delta and is
+//! never serialized.
 
 mod audit;
+mod index;
 mod node;
 mod update;
 
+pub use index::{End, GroupId, Record, RowEntry};
 pub use node::Dcs;

@@ -1,10 +1,10 @@
-//! DCS storage: dense per-`(u, v)` counter slabs and the pair-indexed
-//! multiplicity slab.
+//! DCS storage: dense per-`(u, v)` counter slabs, the pair-indexed
+//! multiplicity slab, and the sparse adjacency index over live edge groups.
 //!
 //! # Memory model
 //!
 //! Query vertices are bounded by 64 and the data-vertex count `n` is fixed
-//! when the stream opens, so *all* per-node state lives in flat arrays
+//! when the stream opens, so all per-node state lives in flat arrays
 //! allocated once at construction:
 //!
 //! * `counters` — for every query vertex `u`, an `n × (parents(u) +
@@ -17,12 +17,22 @@
 //! * `mult` — DCS edge multiplicities addressed by **window pair-bucket id**
 //!   (`pair · 2|E(q)| + ε·2 + orientation`), the stable ids handed out by
 //!   [`tcsm_graph::WindowGraph`]. This slab grows amortized with the peak
-//!   number of concurrently alive vertex pairs and is then reused; no
-//!   per-event allocation is proportional to anything.
+//!   number of concurrently alive vertex pairs and is then reused.
 //!
-//! There is no hashing anywhere on the per-event path.
+//! The one structure that is *not* dense is the adjacency index (module
+//! `index`): a hash map from `(query edge, end, data vertex)` to the sorted
+//! `(opposite endpoint, GroupId)` row of the edge groups with `mult > 0`,
+//! each group holding its admitted data edges in arrival order — the DCS as
+//! a graph, which `FindMatches` enumerates instead of the window. Its size
+//! is two row entries per live edge group, one record per admitted pair and
+//! one map slot per non-empty row; a dense `O(|E(q)| · n)` table of row
+//! heads would cost more than every other slab here on a sparse DCS. It is
+//! the only hashing on the per-event path, and it is touched once per DCS
+//! edge delta, never per window edge.
 
+use crate::index::{AdjIndex, End, GroupId, Record, RowEntry};
 use tcsm_dag::QueryDag;
+use tcsm_filter::CandPair;
 use tcsm_graph::codec::{CodecError, Decoder, Encoder};
 use tcsm_graph::{DenseBits, PairId, QEdgeId, QVertexId, QueryGraph, VertexId, WindowGraph};
 
@@ -63,6 +73,9 @@ pub struct Dcs {
     pub(crate) mult_groups: usize,
     /// Sum of all `mult` entries (= DCS edge multiplicity).
     pub(crate) mult_total: usize,
+    /// Adjacency rows of the groups with nonzero `mult` (derived state:
+    /// never serialized; `Dcs::rebuild_index` re-derives it).
+    pub(crate) index: AdjIndex,
 }
 
 impl Dcs {
@@ -142,6 +155,7 @@ impl Dcs {
             mult: Vec::new(),
             mult_groups: 0,
             mult_total: 0,
+            index: AdjIndex::default(),
         }
     }
 
@@ -180,6 +194,35 @@ impl Dcs {
             Some(p) => self.mult_at(p, e, v_tail < v_head),
             None => 0,
         }
+    }
+
+    /// The DCS neighbours of `v` as the `end` of query edge `e`: `(opposite
+    /// endpoint image, group)` for exactly the edge groups with nonzero
+    /// multiplicity, strictly ascending by endpoint.
+    #[inline]
+    pub fn adjacent(&self, e: QEdgeId, end: End, v: VertexId) -> &[RowEntry] {
+        self.index.row(e, end, v)
+    }
+
+    /// The data edges admitted to a live edge group (an id read from
+    /// [`Dcs::adjacent`]), in arrival order: ascending `(Ts, EdgeKey)`.
+    #[inline]
+    pub fn group_records(&self, gid: GroupId) -> &[Record] {
+        self.index.records(gid)
+    }
+
+    /// The live edge group `(e, v_tail, v_head)`, if any.
+    #[inline]
+    pub fn group_of(&self, e: QEdgeId, v_tail: VertexId, v_head: VertexId) -> Option<GroupId> {
+        self.index.group_of(e, v_tail, v_head)
+    }
+
+    /// Row-entry plus record capacity retained by the adjacency index's
+    /// buffers, live and recycled (the slab-growth regression test pins
+    /// this).
+    #[inline]
+    pub fn index_retained_capacity(&self) -> usize {
+        self.index.retained_capacity()
     }
 
     /// `d1[u, v]` (ancestor-side candidacy).
@@ -263,8 +306,18 @@ impl Dcs {
     /// query and window shape. Slab lengths must match the construction
     /// shape (`mult` additionally must be a whole number of pair strides),
     /// and every stored census must agree with the slab it summarizes —
-    /// anything else is corruption.
-    pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+    /// anything else is corruption. The adjacency index is not part of the
+    /// snapshot; it is rebuilt here from `g` — the already-restored window
+    /// the snapshot was taken over — and `admitted`, the restored filter
+    /// bank's membership test, and must then agree with the restored `mult`
+    /// slab group by group.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        q: &QueryGraph,
+        g: &WindowGraph,
+        admitted: impl Fn(CandPair) -> bool,
+    ) -> Result<(), CodecError> {
         let nc = dec.get_count(4)?;
         if nc != self.counters.len() {
             return Err(CodecError::Invalid(format!(
@@ -333,6 +386,70 @@ impl Dcs {
         self.mult = mult;
         self.mult_groups = mult_groups;
         self.mult_total = mult_total;
+        self.rebuild_index(q, g, admitted);
+        let groups_agree = || {
+            let mut tail_rows = self.index.iter().filter(|r| r.1 == End::Tail);
+            tail_rows.all(|(e, _, v_tail, row)| {
+                row.iter().all(|&(v_head, gid)| {
+                    g.pair_id(v_tail, v_head).is_some_and(|pid| {
+                        self.mult_at(pid, e, v_tail < v_head) as usize
+                            == self.index.records(gid).len()
+                    })
+                })
+            })
+        };
+        if self.index.num_records() != self.mult_total
+            || self.index.num_entries() != 2 * self.mult_groups
+            || !groups_agree()
+        {
+            return Err(CodecError::Invalid(format!(
+                "mult censuses ({mult_groups}, {mult_total}) disagree with the bank's \
+                 membership over the window ({}, {})",
+                self.index.num_entries() / 2,
+                self.index.num_records()
+            )));
+        }
         Ok(())
+    }
+
+    /// Re-derives the adjacency index: every alive window edge, query edge
+    /// and orientation the bank admits contributes one record to the group
+    /// of its endpoint images. Buckets hold edges in arrival order, so each
+    /// group's records come out sorted.
+    fn rebuild_index(
+        &mut self,
+        q: &QueryGraph,
+        g: &WindowGraph,
+        admitted: impl Fn(CandPair) -> bool,
+    ) {
+        self.index.clear();
+        for bucket in g.buckets() {
+            for rec in bucket.iter() {
+                let (src, dst) = if rec.src_is_a {
+                    (bucket.a, bucket.b)
+                } else {
+                    (bucket.b, bucket.a)
+                };
+                for (e, qe) in q.edges().iter().enumerate() {
+                    for a_to_src in [true, false] {
+                        let pair = CandPair {
+                            qedge: e,
+                            key: rec.key,
+                            a_to_src,
+                        };
+                        if !admitted(pair) {
+                            continue;
+                        }
+                        let (va, vb) = if a_to_src { (src, dst) } else { (dst, src) };
+                        let (v_tail, v_head) = if self.dag.tail(e) == qe.a {
+                            (va, vb)
+                        } else {
+                            (vb, va)
+                        };
+                        self.index.admit(e, v_tail, v_head, (rec.key, rec.time));
+                    }
+                }
+            }
+        }
     }
 }

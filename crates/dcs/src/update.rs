@@ -1,6 +1,7 @@
 //! Incremental DCS maintenance (`DCSInsertion` / `DCSDeletion` of
 //! Algorithm 1, following SymBi's counter scheme) over the dense slabs.
 
+use crate::index::End;
 use crate::node::Dcs;
 use tcsm_filter::DcsDelta;
 use tcsm_graph::{QEdgeId, QVertexId, QueryGraph, TemporalEdge, VertexId, WindowGraph};
@@ -60,34 +61,36 @@ impl Dcs {
                 continue;
             };
             let idx = Dcs::mult_idx(pid, self.m2, e, v_tail < v_head);
+            let rec = (sigma.key, sigma.time);
             if d.added {
                 if idx >= self.mult.len() {
                     // Amortized growth with the pair slab; reused thereafter.
                     self.mult.resize((pid as usize + 1) * self.m2, 0);
                 }
-                let m = &mut self.mult[idx];
-                *m += 1;
+                self.mult[idx] += 1;
                 self.mult_total += 1;
-                if *m == 1 {
+                if self.index.admit(e, v_tail, v_head, rec) {
+                    debug_assert_eq!(self.mult[idx], 1, "group created at nonzero mult");
                     self.mult_groups += 1;
                     self.pair_edge_transition(e, v_tail, v_head, 1, &mut work);
                 }
             } else {
-                let Some(m) = self.mult.get_mut(idx).filter(|m| **m > 0) else {
+                let Some(dropped) = self.index.withdraw(e, v_tail, v_head, rec) else {
                     // A malformed stream (removal of an untracked pair) must
                     // degrade, not abort the engine.
-                    debug_assert!(false, "removing pair with zero multiplicity");
+                    debug_assert!(false, "removing a pair its group does not hold");
                     continue;
                 };
-                *m -= 1;
+                self.mult[idx] -= 1;
                 self.mult_total -= 1;
-                if *m == 0 {
+                if dropped {
+                    debug_assert_eq!(self.mult[idx], 0, "group dropped at nonzero mult");
                     self.mult_groups -= 1;
                     self.pair_edge_transition(e, v_tail, v_head, -1, &mut work);
                 }
             }
         }
-        work = self.drain(g, work);
+        work = self.drain(work);
         self.work_scratch = work;
     }
 
@@ -124,7 +127,7 @@ impl Dcs {
     }
 
     /// Drains the worklist; returns the (now empty) buffer for reuse.
-    fn drain(&mut self, g: &WindowGraph, mut work: Vec<Work>) -> Vec<Work> {
+    fn drain(&mut self, mut work: Vec<Work>) -> Vec<Work> {
         while let Some(w) = work.pop() {
             let (u, v, slot) = match w {
                 Work::N1 { u, v, slot, .. } => (u, v, slot),
@@ -151,7 +154,7 @@ impl Dcs {
                 }
             }
             if (before == 0) != (after == 0) {
-                self.refresh_node(g, u, v, &mut work);
+                self.refresh_node(u, v, &mut work);
             }
         }
         work
@@ -176,8 +179,9 @@ impl Dcs {
     }
 
     /// Recomputes `d1`/`d2` of a node from its counters; on flips, seeds the
-    /// induced adjustments in neighbours.
-    fn refresh_node(&mut self, g: &WindowGraph, u: QVertexId, v: VertexId, work: &mut Vec<Work>) {
+    /// induced adjustments in its DCS neighbours (read off the adjacency
+    /// index, so a hub's window neighbourhood is never walked).
+    fn refresh_node(&mut self, u: QVertexId, v: VertexId, work: &mut Vec<Work>) {
         let uv = u * self.n + v as usize;
         let label_ok = self.label_ok.get(uv);
         let new_d1 = label_ok && self.n1_sat(u, v);
@@ -197,15 +201,13 @@ impl Dcs {
             let delta = if new_d1 { 1 } else { -1 };
             for &(e, uc) in self.dag.children(u) {
                 let slot = self.parent_slot[e];
-                for (vc, pid, _) in g.neighbors_with_ids(v) {
-                    if self.mult_at(pid, e, v < vc) > 0 {
-                        work.push(Work::N1 {
-                            u: uc,
-                            v: vc,
-                            slot,
-                            delta,
-                        });
-                    }
+                for &(vc, _) in self.index.row(e, End::Tail, v) {
+                    work.push(Work::N1 {
+                        u: uc,
+                        v: vc,
+                        slot,
+                        delta,
+                    });
                 }
             }
         }
@@ -215,15 +217,13 @@ impl Dcs {
             let delta = if new_d2 { 1 } else { -1 };
             for &(e, up) in self.dag.parents(u) {
                 let slot = self.child_slot[e];
-                for (vp, pid, _) in g.neighbors_with_ids(v) {
-                    if self.mult_at(pid, e, vp < v) > 0 {
-                        work.push(Work::N2 {
-                            u: up,
-                            v: vp,
-                            slot,
-                            delta,
-                        });
-                    }
+                for &(vp, _) in self.index.row(e, End::Head, v) {
+                    work.push(Work::N2 {
+                        u: up,
+                        v: vp,
+                        slot,
+                        delta,
+                    });
                 }
             }
         }

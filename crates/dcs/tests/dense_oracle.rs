@@ -6,12 +6,14 @@
 //! plain `FxHashMap` shadow of the multiplicity index (fed from the same
 //! deltas) and re-derive every `(u, v)` candidacy from it by fixpoint, so a
 //! dense-indexing bug (wrong stride, stale slot, missed zeroing) shows up as
-//! a divergence from an independently maintained model.
+//! a divergence from an independently maintained model. The sparse adjacency
+//! index is held to the same shadow: its rows must list exactly the groups
+//! the shadow holds, and each group's records exactly the admitted edges.
 
 use proptest::prelude::*;
 use tcsm_dag::{build_best_dag, Polarity};
-use tcsm_dcs::Dcs;
-use tcsm_filter::{FilterBank, FilterInstance, FilterMode};
+use tcsm_dcs::{Dcs, End};
+use tcsm_filter::{DcsDelta, FilterBank, FilterInstance, FilterMode};
 use tcsm_graph::*;
 
 fn arb_stream() -> impl Strategy<Value = (TemporalGraph, QueryGraph, i64)> {
@@ -83,6 +85,98 @@ fn oracle_candidacies(
     (d1, d2)
 }
 
+/// The shadow of the adjacency index: per `(e, v_tail, v_head)` group, the
+/// admitted data edges, fed from the same deltas as the DCS.
+type GroupShadow = FxHashMap<(QEdgeId, VertexId, VertexId), Vec<(Ts, EdgeKey)>>;
+
+fn feed_shadow(
+    shadow: &mut GroupShadow,
+    q: &QueryGraph,
+    g: &TemporalGraph,
+    dag: &tcsm_dag::QueryDag,
+    deltas: &[DcsDelta],
+) {
+    for d in deltas {
+        let sigma = g.edge(d.pair.key);
+        let e = d.pair.qedge;
+        let group = (
+            e,
+            d.pair.image_of(q, sigma, dag.tail(e)),
+            d.pair.image_of(q, sigma, dag.head(e)),
+        );
+        let rec = (sigma.time, sigma.key);
+        if d.added {
+            shadow.entry(group).or_default().push(rec);
+        } else {
+            let records = shadow.get_mut(&group).expect("removal from a live group");
+            let pos = records
+                .iter()
+                .position(|r| *r == rec)
+                .expect("removal of an admitted edge");
+            records.swap_remove(pos);
+            if records.is_empty() {
+                shadow.remove(&group);
+            }
+        }
+    }
+}
+
+/// The index equals the shadow: for every `(e, v)` both rows list exactly
+/// the shadow's groups at `v`, strictly ascending, tail and head rows agree
+/// on each group's id, the id resolves the window's pair bucket to the same
+/// `mult`, and the group's records are the shadow's in arrival order.
+fn assert_index_matches(
+    dcs: &Dcs,
+    w: &WindowGraph,
+    q: &QueryGraph,
+    shadow: &GroupShadow,
+) -> Result<(), String> {
+    let n = w.num_vertices() as VertexId;
+    let mut entries = 0usize;
+    for e in 0..q.num_edges() {
+        for v in 0..n {
+            let tails = dcs.adjacent(e, End::Tail, v);
+            let heads = dcs.adjacent(e, End::Head, v);
+            for row in [tails, heads] {
+                prop_assert!(
+                    row.windows(2).all(|p| p[0].0 < p[1].0),
+                    "row (e{}, v{}) not strictly ascending: {:?}",
+                    e,
+                    v,
+                    row
+                );
+            }
+            entries += tails.len() + heads.len();
+            let want_heads: Vec<VertexId> = (0..n)
+                .filter(|&vh| shadow.contains_key(&(e, v, vh)))
+                .collect();
+            let want_tails: Vec<VertexId> = (0..n)
+                .filter(|&vt| shadow.contains_key(&(e, vt, v)))
+                .collect();
+            prop_assert_eq!(tails.iter().map(|r| r.0).collect::<Vec<_>>(), want_heads);
+            prop_assert_eq!(heads.iter().map(|r| r.0).collect::<Vec<_>>(), want_tails);
+            for &(vh, gid) in tails {
+                prop_assert_eq!(dcs.group_of(e, v, vh), Some(gid));
+                let back = dcs.adjacent(e, End::Head, vh);
+                prop_assert!(
+                    back.contains(&(v, gid)),
+                    "head row disagrees on group {}",
+                    gid
+                );
+                let mut want = shadow[&(e, v, vh)].clone();
+                want.sort();
+                let got: Vec<(Ts, EdgeKey)> =
+                    dcs.group_records(gid).iter().map(|r| (r.1, r.0)).collect();
+                prop_assert_eq!(&got, &want, "records of (e{}, v{}, v{})", e, v, vh);
+                let pid = w.pair_id(v, vh).expect("live group on an alive pair");
+                prop_assert_eq!(dcs.mult_at(pid, e, v < vh) as usize, want.len());
+            }
+        }
+    }
+    prop_assert_eq!(entries, 2 * shadow.len());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -93,8 +187,7 @@ proptest! {
         let mut bank = FilterBank::new(&q, &dag, FilterMode::Tc, &w);
         let mut dcs = Dcs::new(dag.clone(), &q, &w);
         // The shadow model: a plain hash map fed from the same deltas.
-        let mut mult_oracle: FxHashMap<(QEdgeId, VertexId, VertexId), u32> =
-            FxHashMap::default();
+        let mut shadow = GroupShadow::default();
         let mut deltas = Vec::new();
         let queue = EventQueue::new(&g, delta).unwrap();
         for ev in queue.iter() {
@@ -111,25 +204,11 @@ proptest! {
                 }
             }
             dcs.apply(&q, &w, |k| g.edge(k), &deltas);
-            for d in &deltas {
-                let sigma = g.edge(d.pair.key);
-                let e = d.pair.qedge;
-                let key = (
-                    e,
-                    d.pair.image_of(&q, sigma, dag.tail(e)),
-                    d.pair.image_of(&q, sigma, dag.head(e)),
-                );
-                let c = mult_oracle.entry(key).or_insert(0);
-                if d.added {
-                    *c += 1;
-                } else {
-                    prop_assert!(*c > 0, "oracle underflow — delta stream broken");
-                    *c -= 1;
-                    if *c == 0 {
-                        mult_oracle.remove(&key);
-                    }
-                }
-            }
+            feed_shadow(&mut shadow, &q, &g, &dag, &deltas);
+            assert_index_matches(&dcs, &w, &q, &shadow)?;
+            // The multiplicity shadow is the group shadow's record counts.
+            let mult_oracle: FxHashMap<(QEdgeId, VertexId, VertexId), u32> =
+                shadow.iter().map(|(&k, v)| (k, v.len() as u32)).collect();
             // Every (e, v_tail, v_head) multiplicity agrees with the shadow.
             let n = g.num_vertices() as VertexId;
             for e in 0..q.num_edges() {
@@ -160,9 +239,52 @@ proptest! {
                 }
             }
         }
-        prop_assert!(mult_oracle.is_empty());
+        prop_assert!(shadow.is_empty());
         prop_assert_eq!(dcs.num_edges(), 0);
         prop_assert_eq!(dcs.num_nodes(), 0, "counters not zeroed after drain");
+    }
+
+    #[test]
+    fn adjacency_index_matches_shadow_after_every_delta_batch(
+        (g, q, delta) in arb_stream(),
+        label_only in any::<bool>(),
+    ) {
+        // The batched regime: every same-timestamp batch mutates the window
+        // first, then reaches the DCS as one combined delta list (arrivals
+        // in arbitrary key order, several buckets draining at once).
+        let mode = if label_only { FilterMode::LabelOnly } else { FilterMode::Tc };
+        let dag = build_best_dag(&q);
+        let mut w = WindowGraph::new(g.labels().to_vec(), false);
+        let mut bank = FilterBank::new(&q, &dag, mode, &w);
+        let mut dcs = Dcs::new(dag.clone(), &q, &w);
+        let mut shadow = GroupShadow::default();
+        let mut deltas = Vec::new();
+        let queue = EventQueue::new(&g, delta).unwrap();
+        for batch in queue.batches() {
+            let edges: Vec<TemporalEdge> = batch.edges().map(|k| *g.edge(k)).collect();
+            deltas.clear();
+            w.begin_batch();
+            match batch.kind {
+                EventKind::Insert => {
+                    for e in &edges {
+                        w.insert_deferred(e);
+                    }
+                    bank.on_insert_batch(&q, &w, &edges, |k| g.edge(k), &mut deltas);
+                }
+                EventKind::Delete => {
+                    for e in &edges {
+                        w.remove_deferred(e);
+                    }
+                    bank.on_delete_batch(&q, &w, &edges, |k| g.edge(k), &mut deltas);
+                }
+            }
+            dcs.apply(&q, &w, |k| g.edge(k), &deltas);
+            feed_shadow(&mut shadow, &q, &g, &dag, &deltas);
+            assert_index_matches(&dcs, &w, &q, &shadow)?;
+            dcs.check_consistency(&q, &w);
+        }
+        prop_assert!(shadow.is_empty());
+        assert_index_matches(&dcs, &w, &q, &shadow)?;
     }
 
     #[test]
@@ -248,7 +370,7 @@ fn sliding_windows_do_not_grow_slabs() {
     let mut bank = FilterBank::new(&q, &dag, FilterMode::Tc, &w);
     let mut dcs = Dcs::new(dag.clone(), &q, &w);
     let mut deltas = Vec::new();
-    let mut slab_after_round_2: Option<(usize, usize)> = None;
+    let mut slab_after_round_2: Option<(usize, usize, usize)> = None;
     let queue = EventQueue::new(&g, delta).unwrap();
     for (i, ev) in queue.iter().enumerate() {
         let edge = *g.edge(ev.edge);
@@ -267,10 +389,14 @@ fn sliding_windows_do_not_grow_slabs() {
         // After two full rounds every recurring pair has been seen; the
         // slabs must not grow past this point.
         if i + 1 == 4 * pattern.len() {
-            slab_after_round_2 = Some((w.pair_slab_len(), dcs.mult_slab_len()));
+            slab_after_round_2 = Some((
+                w.pair_slab_len(),
+                dcs.mult_slab_len(),
+                dcs.index_retained_capacity(),
+            ));
         }
     }
-    let (pair_slab, mult_slab) = slab_after_round_2.expect("stream long enough");
+    let (pair_slab, mult_slab, index_capacity) = slab_after_round_2.expect("stream long enough");
     assert_eq!(
         w.pair_slab_len(),
         pair_slab,
@@ -281,11 +407,26 @@ fn sliding_windows_do_not_grow_slabs() {
         mult_slab,
         "DCS mult slab grew across identical sliding windows"
     );
+    assert!(
+        index_capacity > 0,
+        "the pattern never populated the adjacency index"
+    );
+    assert_eq!(
+        dcs.index_retained_capacity(),
+        index_capacity,
+        "adjacency-index buffers grew across identical sliding windows"
+    );
     // Drained stream ⇒ every dense structure is back to its zero state.
     assert_eq!(w.num_alive_edges(), 0);
     assert_eq!(bank.num_pairs(), 0);
     assert_eq!(dcs.num_edges(), 0);
     assert_eq!(dcs.num_candidate_vertices(), 0);
     assert_eq!(dcs.num_nodes(), 0, "expiration left nonzero counters");
+    for e in 0..q.num_edges() {
+        for v in 0..g.num_vertices() as VertexId {
+            assert!(dcs.adjacent(e, End::Tail, v).is_empty());
+            assert!(dcs.adjacent(e, End::Head, v).is_empty());
+        }
+    }
     dcs.check_consistency(&q, &w);
 }

@@ -55,6 +55,7 @@
 //! | `dcs-d2` | `d2` bit vs fixpoint recomputation |
 //! | `dcs-counter` | support counter vs per-slot neighbour recount |
 //! | `dcs-mult` | multiplicity slab vs alive-window × membership recount |
+//! | `dcs-adjacency-index` | adjacency rows and group records vs multiplicity slab and membership |
 //! | `stats-conservation` | monotone counter laws (see `tcsm-core`) |
 
 use std::sync::OnceLock;

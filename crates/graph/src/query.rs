@@ -78,6 +78,8 @@ pub struct QueryGraph {
     adj: Vec<Vec<(QEdgeId, QVertexId)>>,
     /// Per-vertex incident-edge set as a bitmask.
     incident: Vec<Set64>,
+    /// Per-edge endpoint set `{a, b}` as a bitmask.
+    endpoints: Vec<Set64>,
 }
 
 impl QueryGraph {
@@ -122,12 +124,17 @@ impl QueryGraph {
             incident[e.a].insert(i);
             incident[e.b].insert(i);
         }
+        let endpoints = edges
+            .iter()
+            .map(|e| Set64::singleton(e.a).union(Set64::singleton(e.b)))
+            .collect();
         let q = QueryGraph {
             labels,
             edges,
             order,
             adj,
             incident,
+            endpoints,
         };
         if q.num_vertices() > 0 && !q.is_connected() {
             return Err(GraphError::DisconnectedQuery);
@@ -199,6 +206,12 @@ impl QueryGraph {
     #[inline]
     pub fn incident_set(&self, u: QVertexId) -> Set64 {
         self.incident[u]
+    }
+
+    /// The two endpoints of edge `e` as a bitmask over query vertices.
+    #[inline]
+    pub fn endpoint_set(&self, e: QEdgeId) -> Set64 {
+        self.endpoints[e]
     }
 
     /// Degree of `u`.

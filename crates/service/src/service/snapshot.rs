@@ -516,7 +516,7 @@ impl<'g> MatchService<'g> {
                     )));
                 }
                 let mut sec = dec.section()?;
-                slot.rt.restore_state(&mut sec)?;
+                slot.rt.restore_state(&mut sec, &shard.window)?;
                 sec.finish()?;
                 // At a step boundary everything reported has been
                 // delivered, so the delivery watermarks equal the totals.

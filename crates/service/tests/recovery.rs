@@ -15,9 +15,11 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use tcsm_core::{EngineConfig, MatchEvent};
+use tcsm_core::{EngineConfig, MatchEvent, MatchKind};
 use tcsm_graph::io::{parse_snap, SnapOptions};
-use tcsm_graph::{QueryGraph, QueryGraphBuilder, TemporalGraph, TemporalGraphBuilder};
+use tcsm_graph::{
+    EventQueue, QueryGraph, QueryGraphBuilder, TemporalGraph, TemporalGraphBuilder, Ts,
+};
 use tcsm_service::{
     CollectedMatches, CollectingSink, MatchService, QueryId, RecoveryPolicy, ServiceConfig,
     ShardPolicy, SnapshotError,
@@ -308,6 +310,68 @@ fn checkpoint_after_retirement_restores_retired_stats() {
     assert_eq!(svc.stats().retired, 1);
     assert!(svc.shard_of(ids[0]).is_none(), "retired query not resident");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Occurrences reported after the cut that use a data edge from before it:
+/// their pre-cut edges entered DCS edge groups the runtime did not see
+/// arrive, so they can only be enumerated from a rebuilt adjacency index.
+fn straddling_occurrences(events: &[MatchEvent], g: &TemporalGraph, cut: Ts) -> usize {
+    events
+        .iter()
+        .filter(|m| m.kind == MatchKind::Occurred && m.at > cut)
+        .filter(|m| m.embedding.edge_times(g).iter().any(|&t| t <= cut))
+        .count()
+}
+
+#[test]
+fn restore_and_admission_rebuild_the_adjacency_index() {
+    // The DCS adjacency index is derived state: a snapshot does not carry
+    // it and a mid-stream admission never saw the arrivals that would have
+    // built it. Both paths must hand `FindMatches` an index equal to the
+    // uninterrupted one — and the resumed streams must actually contain
+    // matches reached through vertex extension over pre-existing groups,
+    // so that an empty (forgotten) index cannot pass vacuously.
+    let (queries, g) = workload();
+    let delta = 10;
+    let cfg = svc_cfg(2, 0, false, false);
+    let kill_at = g.edges().len(); // mid-stream: half of the 2·|E| events
+    let cut = EventQueue::new(&g, delta).unwrap().events()[kill_at - 1].at;
+
+    // Checkpoint → restore.
+    let split = uninterrupted(&g, delta, &queries, cfg, kill_at);
+    let dir = scratch("index-rebuild");
+    run_and_checkpoint(&g, delta, &queries, cfg, kill_at, &dir);
+    let resumed = resume(&g, &dir, RecoveryPolicy::Strict);
+    for (id, _prefix, suffix) in &split {
+        assert_eq!(&resumed[id], suffix, "resumed stream diverged for {id}");
+        assert!(
+            straddling_occurrences(suffix, &g, cut) > 0,
+            "{id}: no post-restore match extends over a pre-checkpoint edge"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Mid-stream admission through `sync_to_window`.
+    let mut svc = MatchService::new(&g, delta, cfg).unwrap();
+    // A resident from the first event keeps the shard windows populated.
+    svc.add_query(&queries[0], serial_cfg(), Box::new(CollectingSink::new().0));
+    for _ in 0..kill_at {
+        assert!(svc.step());
+    }
+    let admitted: Vec<CollectedMatches> = queries
+        .iter()
+        .map(|q| {
+            let (sink, got) = CollectingSink::new();
+            svc.add_query(q, serial_cfg(), Box::new(sink));
+            got
+        })
+        .collect();
+    svc.run();
+    for ((id, _prefix, suffix), got) in split.iter().zip(admitted) {
+        let got = got.take();
+        assert_eq!(&got, suffix, "admitted twin of {id} diverged");
+        assert!(straddling_occurrences(&got, &g, cut) > 0);
+    }
 }
 
 // ---- corrupt-snapshot corpus -------------------------------------------
