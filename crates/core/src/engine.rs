@@ -29,9 +29,9 @@
 //! deltas in one monotone pass. Nothing is freed mid-batch, so no layer
 //! ever observes a half-applied delta (the bank debug-asserts this).
 //!
-//! Expired embeddings are enumerated *before* the batch's removals (the
-//! structures still admit every expiring edge — see DESIGN.md), occurred
-//! embeddings after the batch's insertions.
+//! Expired embeddings are reported *before* the batch's removals, occurred
+//! embeddings after the batch's insertions (the runtime's module docs give
+//! the reason, and what an expiration costs).
 
 use crate::audit::{AuditLevel, AuditViolation, Auditor};
 use crate::config::EngineConfig;
@@ -199,8 +199,7 @@ impl<'g> TcmEngine<'g> {
                     .apply_insert(&self.window, &edge, |k| full.edge(k), out);
             }
             EventKind::Delete => {
-                // Expired embeddings are enumerated before the removal (the
-                // structures still admit the expiring edge) — see DESIGN.md.
+                // Report before removing: see the runtime's aliasing rules.
                 self.rt.sweep_expiring(&self.window, &edge, out);
                 self.window.remove(&edge);
                 self.rt.apply_delete(&self.window, &edge, |k| full.edge(k));
@@ -256,9 +255,8 @@ impl<'g> TcmEngine<'g> {
                     .apply_insert_batch(&self.window, &edges, |k| full.edge(k), out);
             }
             EventKind::Delete => {
-                // Expired embeddings are enumerated before any removal (the
-                // structures still admit every expiring edge); the per-seed
-                // exclusion reproduces the serial progressive removals.
+                // Report before removing anything; the per-seed exclusion
+                // reproduces the serial progressive removals.
                 self.rt.sweep_expiring_batch(&self.window, &edges, out);
                 self.window.begin_batch();
                 for e in &edges {
@@ -354,6 +352,14 @@ impl<'g> TcmEngine<'g> {
     #[doc(hidden)]
     pub fn runtime_mut(&mut self) -> &mut QueryRuntime {
         &mut self.rt
+    }
+
+    /// Corruption hook for the negative-test corpus: drops one expiry-ledger
+    /// charge, or (`moved`) moves it to a neighbouring parallel edge.
+    /// Returns `false` when the window offers no such pair.
+    #[doc(hidden)]
+    pub fn corrupt_ledger(&mut self, moved: bool) -> bool {
+        self.rt.corrupt_ledger(&self.window, moved)
     }
 
     /// From-scratch consistency audit of every incremental structure

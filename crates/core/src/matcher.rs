@@ -14,7 +14,8 @@
 //!
 //! 1. **Case 1** (`R⁻_M(e) = ∅`): all candidates give isomorphic subtrees —
 //!    explore one; on success clone each found embedding onto the remaining
-//!    candidates, on failure prune them all.
+//!    candidates (and fold them into the expiry-ledger charges, below), on
+//!    failure prune them all.
 //! 2. **Case 2** (all of `R⁻_M(e)` on one temporal side of `e`): scan
 //!    candidates chronologically (ascending when `e` precedes everything
 //!    unmapped, descending otherwise) and stop at the first failure —
@@ -50,6 +51,41 @@
 //! query edge per vertex pair), so the swap is an embedding in `σ_i`'s
 //! subtree — a contradiction. Hence the scan may stop at the first failure.
 //!
+//! # Case 1 and the expiry ledger
+//!
+//! A sweep over arriving edges charges every embedding it reports to the
+//! embedding's minimum edge by `(Ts, EdgeKey)` — the edge whose expiration
+//! will end it (the runtime's module docs, "Expiry ledger"). The running
+//! minimum of the mapped edges is carried down the recursion, a report
+//! bumps a counter on the query edge that holds it, and unmapping that edge
+//! moves the counter into the ledger: one increment per embedding, one hash
+//! per mapped edge that was some embedding's minimum.
+//!
+//! Case 1 never visits the embeddings it multiplies, so their charges are
+//! derived. At a Case-1 node for `e` the candidates `EC_M(e)` are
+//! interchangeable: each embedding found below stands for `|EC_M(e)|`
+//! embeddings that differ only in `e`'s image. The explored candidate is
+//! therefore mapped *outside* the running minimum, the subtree charges each
+//! embedding by its other edges alone, and the candidates are folded in
+//! afterwards. Take `n` embeddings whose other edges have minimum `m`.
+//! With candidate `c` in `e`'s place the minimum is `c` if `c < m` and `m`
+//! otherwise, so every candidate older than `m` is owed `n` and `m` is owed
+//! `n · #{c > m}`. Candidates ascend by stamp: the older ones are a prefix,
+//! found by one `partition_point`, and "add `n` to a prefix" is one
+//! addition in a per-candidate array summed from the back when the node
+//! returns. `found_count += produced · (|EC_M(e)| − 1)` stays a
+//! multiplication.
+//!
+//! Case-1 nodes nest (nothing temporally relates the edge of one to the
+//! edge of another, or the outer one would not have been Case 1), so the
+//! live ones form a stack. A charge leaving a subtree is folded through
+//! the stack innermost first — each fold keeps what its candidates
+//! undercut and passes the rest outwards with its multiplicity — and what
+//! a fold owes its own candidates is, when it returns, a charge with that
+//! candidate as the minimum and goes through the folds above it. The one
+//! case where the minimum sits *above* a Case-1 node (so its counter is
+//! still live when the node returns) is folded in place on that counter.
+//!
 //! # Structural failures
 //!
 //! A vertex node with no candidates fails with the *empty* failing set.
@@ -61,11 +97,25 @@
 use crate::config::EngineConfig;
 use crate::embedding::EmbeddingArena;
 use crate::stats::EngineStats;
+use std::ops::Range;
 use tcsm_dcs::{Dcs, End, GroupId, Record, RowEntry};
 use tcsm_filter::{CandPair, FilterBank};
 use tcsm_graph::{
-    EdgeKey, QEdgeId, QVertexId, QueryGraph, Set64, TemporalEdge, Ts, VertexId, WindowGraph,
+    EdgeKey, FxHashMap, QEdgeId, QVertexId, QueryGraph, Set64, TemporalEdge, Ts, VertexId,
 };
+
+/// The expiry ledger's table: for each alive data edge, the number of alive
+/// embeddings whose minimum-[`Stamp`] edge it is (absent = 0). See the
+/// runtime's module docs.
+pub(crate) type Ledger = FxHashMap<EdgeKey, u64>;
+
+/// Arrival — and, under a sliding window, expiry — order of a data edge.
+type Stamp = (Ts, EdgeKey);
+
+#[inline]
+fn stamp(r: &Record) -> Stamp {
+    (r.1, r.0)
+}
 
 /// Result of exploring one search-tree node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,38 +135,68 @@ enum Last {
     Vertex,
 }
 
-/// Same-timestamp exclusion context for batched sweeps.
+/// Which records a seed's sweep must not see.
 ///
 /// A delta batch applies every same-timestamp edge to the structures before
 /// a single combined sweep runs, so the window already (still) contains
 /// batch edges that — under the serial event order — would not be visible
-/// to a given seed's `FindMatches` call. Per seed, the sweep excludes:
+/// to a given seed's `FindMatches` call. Per seed, the sweep hides:
 ///
-/// * **arrival batches**: batch records with key *greater* than the seed's
-///   (serial inserts them after the seed's sweep), so each new embedding is
-///   reported exactly once, at its greatest batch edge;
-/// * **expiration batches**: batch records with key *smaller* than the
-///   seed's (serial removed them before the seed's sweep), so each dying
-///   embedding is reported exactly once, at its smallest batch edge.
+/// * **arrival batches** (`exclude_later`): batch records with key
+///   *greater* than the seed's (serial inserts them after the seed's
+///   sweep), so each new embedding is reported exactly once, at its
+///   greatest batch edge. The batch is the newest timestamp in the window,
+///   so these are the records *after* the seed's stamp;
+/// * **expiration batches and ledger recounts**: every record *before* the
+///   seed's stamp. In an expiration batch those are the batch records with
+///   smaller key (serial removed them before the seed's sweep; nothing
+///   older is alive), so each dying embedding is reported exactly once, at
+///   its smallest batch edge; in a recount over a whole window they are
+///   everything that expires first, so the sweep finds exactly the
+///   embeddings whose minimum edge is the seed.
 ///
-/// Batches are complete per arrival timestamp, so "is a batch record" is an
-/// arrival-time comparison.
+/// Group records ascend by stamp, so either way the visible candidates are
+/// one contiguous end of the slice and no copy is ever made.
 #[derive(Clone, Copy)]
 struct BatchCtx {
-    /// Arrival timestamp shared by every edge of the batch.
-    time: Ts,
-    /// The seed edge currently swept (never excluded itself).
-    seed: EdgeKey,
-    /// `true` for arrival batches, `false` for expiration batches.
+    /// The seed edge currently swept (mapped to its own query edge, so it
+    /// is never a candidate itself).
+    seed: Stamp,
     exclude_later: bool,
 }
 
 impl BatchCtx {
-    /// Must the record be hidden from this seed's sweep?
+    /// The visible part of `ec`, a stamp-ordered candidate slice.
     #[inline]
-    fn excludes(self, key: EdgeKey, time: Ts) -> bool {
-        time == self.time && key != self.seed && ((key > self.seed) == self.exclude_later)
+    fn visible(self, ec: &[Record]) -> Range<usize> {
+        let cut = ec.partition_point(|r| stamp(r) < self.seed);
+        if self.exclude_later {
+            0..cut
+        } else {
+            cut..ec.len()
+        }
     }
+}
+
+/// One live Case-1 node whose candidates are still to be folded into the
+/// ledger charges of its subtree (module docs, "Case 1 and the expiry
+/// ledger").
+#[derive(Clone, Copy)]
+struct Fold {
+    /// `EC_M(e)` as `records(group)[start..start + len]`.
+    group: GroupId,
+    start: usize,
+    len: usize,
+    /// This fold's counters are `fold_acc[base..base + len]`.
+    base: usize,
+}
+
+/// The running minimum of the mapped edges: which query edge holds it, and
+/// its stamp.
+#[derive(Clone, Copy)]
+struct RunMin {
+    e: QEdgeId,
+    at: Stamp,
 }
 
 /// Search-state buffers that persist across `FindMatches` invocations.
@@ -124,7 +204,8 @@ impl BatchCtx {
 /// One stream event spawns one [`Matcher`]; the engine owns this scratch and
 /// lends it out, so the per-event cost is a handful of `fill`s instead of
 /// five allocations plus a fresh candidate `Vec` per search-tree node. The
-/// pools hold candidate buffers recycled across recursion depths. Under the
+/// pool holds vertex-candidate buffers recycled across recursion depths
+/// (edge candidates are borrowed from the DCS). Under the
 /// parallel runtime each worker lane owns one `MatcherScratch`, so fanned-
 /// out seeds never share mutable state.
 #[derive(Default)]
@@ -139,11 +220,17 @@ pub(crate) struct MatcherScratch {
     /// Collected embeddings, flat in a bump arena (drained/materialized by
     /// the engine after each event — the search path never allocates).
     pub(crate) found: EmbeddingArena,
-    /// Recycled edge-candidate buffers for batched sweeps (a serial sweep
-    /// borrows its candidates from the DCS).
-    cand_pool: Vec<Vec<Record>>,
     /// Recycled vertex-candidate buffers (each with its group-id array).
     vcand_pool: Vec<VertexCands>,
+    /// Per query edge: embeddings reported below it whose minimum edge is
+    /// the data edge it is mapped to, not yet charged (flushed when the
+    /// edge is unmapped).
+    pending: Vec<u64>,
+    /// The live Case-1 folds, outermost first.
+    folds: Vec<Fold>,
+    /// The folds' per-candidate counters, stacked: `fold_acc[base + i]`
+    /// counts embeddings charged to *each* of the fold's candidates `..= i`.
+    fold_acc: Vec<u64>,
 }
 
 /// `C_M(u)` with, per candidate, the DCS group of every incident mapped edge.
@@ -179,20 +266,29 @@ impl MatcherScratch {
         self.used_vertices.clear();
         debug_assert!(self.found.is_empty(), "engine drains found between events");
         self.found.reset(nv, ne);
+        // All zero / empty already unless a budget abort unwound mid-search.
+        self.pending.clear();
+        self.pending.resize(ne, 0);
+        self.folds.clear();
+        self.fold_acc.clear();
     }
 }
 
 /// One `FindMatches` invocation rooted at an updated data edge.
 pub(crate) struct Matcher<'a> {
     q: &'a QueryGraph,
-    g: &'a WindowGraph,
     dcs: &'a Dcs,
     bank: &'a FilterBank,
     cfg: &'a EngineConfig,
     /// Partial mapping state + pools, reused across events.
     s: &'a mut MatcherScratch,
+    /// Where every reported embedding is charged to its minimum edge
+    /// (`None`: a sweep that only enumerates — expirations, recounts).
+    ledger: Option<&'a mut Ledger>,
     /// Batched-sweep exclusion (None in serial mode).
     batch: Option<BatchCtx>,
+    /// Minimum of the mapped edges, Case-1 edges under a live fold aside.
+    min: RunMin,
     mapped_edges: Set64,
     mapped_vertices: Set64,
     /// Output.
@@ -205,22 +301,27 @@ pub(crate) struct Matcher<'a> {
 impl<'a> Matcher<'a> {
     pub(crate) fn new(
         q: &'a QueryGraph,
-        g: &'a WindowGraph,
         dcs: &'a Dcs,
         bank: &'a FilterBank,
         cfg: &'a EngineConfig,
         total_nodes_so_far: u64,
         scratch: &'a mut MatcherScratch,
+        ledger: Option<&'a mut Ledger>,
     ) -> Matcher<'a> {
         scratch.prepare(q);
         Matcher {
             q,
-            g,
             dcs,
             bank,
             cfg,
             s: scratch,
+            ledger,
             batch: None,
+            // Overwritten by the seed before any search.
+            min: RunMin {
+                e: 0,
+                at: (Ts::ZERO, EdgeKey(0)),
+            },
             mapped_edges: Set64::EMPTY,
             mapped_vertices: Set64::EMPTY,
             found_count: 0,
@@ -259,6 +360,10 @@ impl<'a> Matcher<'a> {
                 self.map_vertex(qe.a, va);
                 self.map_vertex(qe.b, vb);
                 self.map_edge(e, sigma.key, sigma.time);
+                self.min = RunMin {
+                    e,
+                    at: (sigma.time, sigma.key),
+                };
                 let out = self.search(Last::Edge(e));
                 self.unmap_edge(e);
                 self.unmap_vertex(qe.b);
@@ -271,12 +376,13 @@ impl<'a> Matcher<'a> {
         true
     }
 
-    /// One combined sweep over a delta batch: every batch edge seeds the
-    /// pinned search in event (= key) order, under the per-seed exclusion
-    /// of [`BatchCtx`]. Reproduces exactly the multiset of embeddings the
-    /// serial per-event sweeps report. `exclude_later` is `true` for
-    /// arrival batches, `false` for expiration batches (where the window
-    /// still holds every batch edge). Returns `false` on budget exhaustion.
+    /// One combined sweep over a (non-singleton) delta batch: every batch
+    /// edge seeds the pinned search in event (= key) order, under the
+    /// per-seed exclusion of [`BatchCtx`]. Reproduces exactly the multiset
+    /// of embeddings the serial per-event sweeps report. `exclude_later` is
+    /// `true` for arrival batches, `false` for expiration batches (where the
+    /// window still holds every batch edge). Returns `false` on budget
+    /// exhaustion.
     pub(crate) fn run_batch(&mut self, seeds: &[TemporalEdge], exclude_later: bool) -> bool {
         debug_assert!(
             seeds.windows(2).all(|w| w[0].key < w[1].key),
@@ -286,33 +392,19 @@ impl<'a> Matcher<'a> {
             seeds.windows(2).all(|w| w[0].time == w[1].time),
             "batch seeds must share one arrival timestamp"
         );
-        // A size-one batch needs no exclusion: batches are complete per
-        // arrival timestamp, so no *other* record can share the seed's time
-        // — skipping the context keeps uniform streams on the exact serial
-        // candidate path.
-        let singleton = seeds.len() == 1;
-        for sigma in seeds {
-            let go = if singleton {
-                self.batch = None;
-                self.run(sigma)
-            } else {
-                self.run_seed(sigma, exclude_later)
-            };
-            if !go {
-                return false;
-            }
-        }
-        true
+        seeds
+            .iter()
+            .all(|sigma| self.run_seed(sigma, exclude_later))
     }
 
-    /// One seed of a (non-singleton) batched sweep: pins the batch-context
-    /// exclusion for `sigma` and runs its searches. This is the unit the
-    /// parallel runtime fans out — one call per seed, each on its own
-    /// [`MatcherScratch`] lane. Returns `false` on budget exhaustion.
+    /// One seed under a [`BatchCtx`] exclusion: the unit the parallel
+    /// runtime fans out (one call per seed, each on its own
+    /// [`MatcherScratch`] lane), and — with `exclude_later` false — the
+    /// ledger recount of one alive edge. Returns `false` on budget
+    /// exhaustion.
     pub(crate) fn run_seed(&mut self, sigma: &TemporalEdge, exclude_later: bool) -> bool {
         self.batch = Some(BatchCtx {
-            time: sigma.time,
-            seed: sigma.key,
+            seed: (sigma.time, sigma.key),
             exclude_later,
         });
         self.run(sigma)
@@ -339,10 +431,52 @@ impl<'a> Matcher<'a> {
         self.mapped_edges.insert(e);
     }
 
+    /// Unmaps `e`, first charging the embeddings reported below it that
+    /// have its data edge as their minimum.
     #[inline]
     fn unmap_edge(&mut self, e: QEdgeId) {
+        let n = std::mem::take(&mut self.s.pending[e]);
+        if n != 0 {
+            let key = self.s.emap[e].expect("unmapping a mapped edge");
+            self.charge((self.s.etime[e], key), n, self.s.folds.len());
+        }
         self.s.emap[e] = None;
         self.mapped_edges.remove(e);
+    }
+
+    /// Maps `e ↦ (k, t)` as part of the running minimum, searches below it,
+    /// and restores both.
+    #[inline]
+    fn descend(&mut self, e: QEdgeId, k: EdgeKey, t: Ts) -> Outcome {
+        let above = self.min;
+        if (t, k) < above.at {
+            self.min = RunMin { e, at: (t, k) };
+        }
+        self.map_edge(e, k, t);
+        let out = self.search(Last::Edge(e));
+        self.unmap_edge(e);
+        self.min = above;
+        out
+    }
+
+    /// Charges `n` embeddings whose edges outside the live folds have
+    /// minimum `m`, found below the innermost `depth` folds: each fold
+    /// keeps the share that one of its own candidates undercuts and passes
+    /// the rest outwards, and what clears them all is `m`'s.
+    fn charge(&mut self, m: Stamp, mut n: u64, depth: usize) {
+        for f in self.s.folds[..depth].iter().rev() {
+            let ec = &self.dcs.group_records(f.group)[f.start..f.start + f.len];
+            let older = ec.partition_point(|r| stamp(r) < m);
+            if older > 0 {
+                self.s.fold_acc[f.base + older - 1] += n;
+            }
+            n *= (f.len - older) as u64;
+            if n == 0 {
+                return;
+            }
+        }
+        let ledger = self.ledger.as_mut().expect("charges imply a ledger");
+        *ledger.entry(m.1).or_insert(0) += n;
     }
 
     #[inline]
@@ -421,6 +555,9 @@ impl<'a> Matcher<'a> {
             }
         }
         self.found_count += 1;
+        if self.ledger.is_some() {
+            self.s.pending[self.min.e] += 1;
+        }
         if self.cfg.collect_matches {
             self.s.found.push_mapping(&self.s.vmap, &self.s.emap);
         }
@@ -429,11 +566,12 @@ impl<'a> Matcher<'a> {
     /// `EC_M(e)` in chronological order: the records of `e`'s DCS edge
     /// group — the data edges between the endpoint images that the filter
     /// admits for `e` in this orientation, in arrival order — inside the
-    /// temporal bounds set by `R⁺_M(e)` (Definition V.2). Records ascend in
-    /// time, so the bounds cut out one contiguous subslice, borrowed from
-    /// the DCS. The group id was stored in `egroup[e]` by `extend_vertex`
-    /// when it mapped `e`'s later endpoint.
-    fn edge_candidates(&self, e: QEdgeId) -> &'a [Record] {
+    /// temporal bounds set by `R⁺_M(e)` (Definition V.2) and, in a batched
+    /// sweep, visible to the seed. Records ascend in time, so both cut out
+    /// one contiguous range of the group's records, borrowed from the DCS.
+    /// The group id was stored in `egroup[e]` by `extend_vertex` when it
+    /// mapped `e`'s later endpoint.
+    fn edge_candidates(&self, e: QEdgeId) -> Range<usize> {
         debug_assert_eq!(
             {
                 let dag = self.dcs.dag();
@@ -457,32 +595,20 @@ impl<'a> Matcher<'a> {
         }
         let start = records.partition_point(|r| r.1 <= lo);
         let len = records[start..].partition_point(|r| r.1 < hi);
-        &records[start..start + len]
+        match self.batch {
+            None => start..start + len,
+            Some(batch) => {
+                let seen = batch.visible(&records[start..start + len]);
+                start + seen.start..start + seen.end
+            }
+        }
     }
 
     /// Matches the pending edge `e` over its candidates, with §V pruning.
     fn match_edge(&mut self, e: QEdgeId) -> Outcome {
-        let ec = self.edge_candidates(e);
-        // Batched sweeps hide same-timestamp records the serial event order
-        // would not have made visible to this seed; only then is a copy
-        // (into a pooled buffer) needed.
-        let Some(batch) = self
-            .batch
-            .filter(|b| ec.iter().any(|r| b.excludes(r.0, r.1)))
-        else {
-            return self.match_edge_with(e, ec);
-        };
-        let mut visible = self.s.cand_pool.pop().unwrap_or_default();
-        debug_assert!(visible.is_empty());
-        visible.extend(ec.iter().filter(|r| !batch.excludes(r.0, r.1)));
-        let out = self.match_edge_with(e, &visible);
-        visible.clear();
-        self.s.cand_pool.push(visible);
-        out
-    }
-
-    /// The dispatch over the §V cases, with candidates already computed.
-    fn match_edge_with(&mut self, e: QEdgeId, ec: &[Record]) -> Outcome {
+        let range = self.edge_candidates(e);
+        let dcs: &'a Dcs = self.dcs;
+        let ec = &dcs.group_records(self.s.egroup[e])[range.clone()];
         if ec.is_empty() {
             // Pseudo-leaf (e, ∅): TF = R⁺_M(e) (Definition V.3, case 1).
             return Outcome::Failed(self.r_plus(e));
@@ -495,7 +621,7 @@ impl<'a> Matcher<'a> {
 
         // Case 1: no unmapped related edges — candidates interchangeable.
         if flags.case1 && r_minus.is_empty() {
-            return self.match_edge_case1(e, ec);
+            return self.match_edge_case1(e, ec, range.start);
         }
         // Case 2: uniform relationship — chronological scan, break on fail.
         if flags.case2 && !r_minus.is_empty() {
@@ -510,10 +636,7 @@ impl<'a> Matcher<'a> {
         let mut any_found = false;
         let mut tf_children = Set64::EMPTY;
         for (i, &(k, t)) in ec.iter().enumerate() {
-            self.map_edge(e, k, t);
-            let out = self.search(Last::Edge(e));
-            self.unmap_edge(e);
-            match out {
+            match self.descend(e, k, t) {
                 Outcome::Aborted => return Outcome::Aborted,
                 Outcome::Found => any_found = true,
                 Outcome::Failed(tf) => {
@@ -535,13 +658,18 @@ impl<'a> Matcher<'a> {
     }
 
     /// Case 1: explore one candidate; clone successes / prune failures.
-    fn match_edge_case1(&mut self, e: QEdgeId, ec: &[Record]) -> Outcome {
+    /// `ec` is the group's records from `start` on.
+    fn match_edge_case1(&mut self, e: QEdgeId, ec: &[Record], start: usize) -> Outcome {
         let (k0, t0) = ec[0];
         let sink_start = self.s.found.len();
         let count_start = self.found_count;
-        self.map_edge(e, k0, t0);
-        let out = self.search(Last::Edge(e));
-        self.unmap_edge(e);
+        let out = if self.ledger.is_none() || ec.len() == 1 {
+            // Nothing to fold: no charges, or a lone candidate that the
+            // running minimum accounts for like any other edge.
+            self.descend(e, k0, t0)
+        } else {
+            self.explore_folded(e, ec, start)
+        };
         match out {
             Outcome::Aborted => Outcome::Aborted,
             Outcome::Failed(tf) => {
@@ -566,6 +694,50 @@ impl<'a> Matcher<'a> {
         }
     }
 
+    /// The Case-1 exploration under a charging sweep: `ec[0]` is mapped
+    /// *outside* the running minimum, so the subtree charges each embedding
+    /// by its other edges alone, and the candidates are folded in when it
+    /// returns (module docs, "Case 1 and the expiry ledger").
+    fn explore_folded(&mut self, e: QEdgeId, ec: &[Record], start: usize) -> Outcome {
+        let base = self.s.fold_acc.len();
+        self.s.fold_acc.resize(base + ec.len(), 0);
+        self.s.folds.push(Fold {
+            group: self.s.egroup[e],
+            start,
+            len: ec.len(),
+            base,
+        });
+        let above = self.min;
+        let pending_above = self.s.pending[above.e];
+        self.map_edge(e, ec[0].0, ec[0].1);
+        let out = self.search(Last::Edge(e));
+        self.unmap_edge(e);
+        self.s.folds.pop();
+        if out == Outcome::Found {
+            // Embeddings below whose minimum sits above this node are still
+            // pending there (that edge stays mapped): fold in place.
+            let n = self.s.pending[above.e] - pending_above;
+            if n != 0 {
+                let older = ec.partition_point(|r| stamp(r) < above.at);
+                if older > 0 {
+                    self.s.fold_acc[base + older - 1] += n;
+                }
+                self.s.pending[above.e] = pending_above + n * (ec.len() - older) as u64;
+            }
+            // Every candidate's share is an embedding count with that
+            // candidate as the minimum so far; the enclosing folds are next.
+            let mut share = 0;
+            for i in (0..ec.len()).rev() {
+                share += self.s.fold_acc[base + i];
+                if share != 0 {
+                    self.charge(stamp(&ec[i]), share, self.s.folds.len());
+                }
+            }
+        }
+        self.s.fold_acc.truncate(base);
+        out
+    }
+
     /// Case 2: chronological scan (`descending` when every unmapped related
     /// edge precedes `e`); stop at the first failed candidate.
     fn match_edge_case2(&mut self, e: QEdgeId, ec: &[Record], descending: bool) -> Outcome {
@@ -574,10 +746,7 @@ impl<'a> Matcher<'a> {
         let n = ec.len();
         for i in 0..n {
             let (k, t) = if descending { ec[n - 1 - i] } else { ec[i] };
-            self.map_edge(e, k, t);
-            let out = self.search(Last::Edge(e));
-            self.unmap_edge(e);
-            match out {
+            match self.descend(e, k, t) {
                 Outcome::Aborted => return Outcome::Aborted,
                 Outcome::Found => any_found = true,
                 Outcome::Failed(tf) => {
@@ -733,7 +902,6 @@ impl<'a> Matcher<'a> {
             if !self.dcs.d2(u, v) || self.vertex_used(v) {
                 continue;
             }
-            debug_assert_eq!(self.g.label(v), self.q.label(u), "d2 outside label match");
             out.verts.push(v);
             let base = out.groups.len();
             out.groups.resize(base + stride, 0);

@@ -24,10 +24,13 @@
 //!   the filter/DCS update and the `FindMatches` sweep both expect the
 //!   window to already contain the batch;
 //! * **expirations**: call [`QueryRuntime::sweep_expiring`] (or the batch
-//!   form) on each runtime *before* mutating the window (expiring
-//!   embeddings are enumerated while the structures still admit every
-//!   expiring edge), then mutate, then call
-//!   [`QueryRuntime::apply_delete`]/`..._batch` on each runtime.
+//!   form) on each runtime *before* mutating the window, then mutate, then
+//!   call [`QueryRuntime::apply_delete`]/`..._batch` on each runtime. The
+//!   order is forced by the materialising case: the embeddings that die
+//!   with an edge are found by searching from it, and only while the
+//!   window, the bank and the DCS still admit it (and, in a batch, every
+//!   later batch edge) does that search see them. After the removal the
+//!   filter has withdrawn the edge's pairs and nothing is left to seed.
 //!
 //! The window's deferred bucket reclamation makes this sound for any
 //! number of readers: ids of buckets drained by the current event/batch
@@ -43,10 +46,68 @@
 //! runtime is byte-for-byte indistinguishable — match stream and semantic
 //! stats alike — from one that observed every alive edge's arrival, which
 //! is what lets `MatchService` admit queries while the stream runs.
+//!
+//! # Expiry ledger
+//!
+//! The paper's Algorithm 1 reports the embeddings that die with an expiring
+//! edge by running `FindMatches` from it a second time. Every one of them
+//! was already found once, when it occurred, and at that moment it is
+//! known which expiration will end it.
+//!
+//! **The minimum-edge argument.** Order data edges by `(Ts, EdgeKey)`. The
+//! event queue sorts by `(at, kind, edge)` and every lifetime is the same
+//! `δ`, so edges leave the window in exactly that order. An embedding is
+//! alive while all its edges are, hence it dies when its *minimum* edge
+//! expires — and at that moment all its other edges are still alive, so it
+//! is among the embeddings a search from the expiring edge finds. Conversely
+//! an alive embedding containing the expiring edge has no older edge (that
+//! one would be gone already), so the expiring edge is its minimum. The
+//! embeddings that die with an edge are exactly those it is the minimum of.
+//!
+//! The ledger is that fact kept as a table: `EdgeKey ↦ number of alive
+//! embeddings whose minimum edge it is`, zero entries absent. The matcher
+//! carries the running minimum of the mapped edges down its recursion and
+//! charges each occurrence to it (see [`crate::matcher`], which also folds
+//! Case 1's multiplied embeddings in without enumerating them);
+//! [`QueryRuntime::sweep_expiring`] takes the expiring edge's entry out.
+//!
+//! **Equal timestamps.** `Delete < Insert` at one instant means an edge
+//! expiring at `t` is gone before the edges arriving at `t` are searched:
+//! no embedding ever holds both, so no charge is made to an edge that has
+//! already left, and none is missed. Within an arrival batch each embedding
+//! is found at its greatest batch edge with the later ones hidden, which
+//! changes where it is found, not what its minimum is. Within an expiration
+//! batch the serial order removes the batch edges by ascending key, and the
+//! batch regime's rule — an embedding is reported at its *smallest* batch
+//! edge, later seeds hiding earlier batch records — is the minimum-edge
+//! rule restricted to one timestamp, where the key decides.
+//!
+//! **What an expiration costs.** A counting runtime
+//! (`collect_matches = false`) adds the entry to `expired` and runs no
+//! search. A materialising runtime has to produce the embeddings, and the
+//! only way to do that without storing every alive one is the search; but
+//! it skips the search when there is no entry (most expirations), and in
+//! debug builds checks that the search found as many as were charged.
+//! Which of the two a runtime is was already decided by its sink.
+//!
+//! **Memory.** One entry per alive edge that is the minimum of some alive
+//! embedding — bounded by the window, in practice a few hundred — plus, in
+//! the matcher's scratch, one counter per query edge and one per candidate
+//! of each live Case-1 node. Nothing is kept per embedding or per event.
+//!
+//! **Seeding.** The ledger is derived state, like the DCS adjacency index:
+//! snapshots do not carry it. [`QueryRuntime::sync_to_window`] and
+//! [`QueryRuntime::restore_state`] count it from the populated window — one
+//! enumeration per alive edge with every older record hidden, which by the
+//! argument above finds exactly the embeddings charged to that edge — so an
+//! admitted or restored runtime continues exactly like a resident one,
+//! zero-charge skips included. The sum of the charges then exceeds
+//! `occurred − expired` by the embeddings that were alive at seeding but
+//! occurred elsewhere; the audit's conservation law carries that base.
 
 use crate::config::EngineConfig;
 use crate::embedding::{EmbeddingArena, MatchEvent, MatchKind};
-use crate::matcher::{Matcher, MatcherScratch};
+use crate::matcher::{Ledger, Matcher, MatcherScratch};
 use crate::pool::WorkerPool;
 use crate::stats::EngineStats;
 use std::sync::Arc;
@@ -66,6 +127,9 @@ struct SeedSlot {
     /// The seed's matcher counters.
     stats: EngineStats,
     found_count: u64,
+    /// The seed's ledger charges (arrival sweeps), merged and emptied with
+    /// the rest of the slot.
+    charges: Ledger,
 }
 
 /// What a `FindMatches` sweep is seeded by.
@@ -99,6 +163,15 @@ pub struct QueryRuntime {
     /// Per-seed result slots of fanned-out sweeps (reused across batches);
     /// merged in seed order so the match stream stays byte-identical.
     seed_slots: Vec<SeedSlot>,
+    /// The expiry ledger (module docs): alive edge ↦ number of alive
+    /// embeddings it is the minimum edge of; zero entries are absent.
+    ledger: Ledger,
+    /// `Σ ledger + expired − occurred` when the ledger was last seeded: the
+    /// embeddings alive then that this runtime's counters never saw occur
+    /// (0 for a runtime resident since an empty window).
+    ledger_base: u64,
+    /// The charged seeds of an expiration batch (reused allocation).
+    dying_seeds: Vec<TemporalEdge>,
     /// Per-phase latency recorder (`TCSM_TRACE`-selected; a single branch
     /// per phase when off). Timing lives here, **never** in `stats` — the
     /// semantic counters and snapshot bytes stay identical at every level.
@@ -137,14 +210,18 @@ impl QueryRuntime {
             pool,
             lane_scratch: Vec::new(),
             seed_slots: Vec::new(),
+            ledger: Ledger::default(),
+            ledger_base: 0,
+            dying_seeds: Vec::new(),
             recorder: PhaseRecorder::from_env(),
         }
     }
 
-    /// Re-derives the bank and DCS from a window that already holds alive
-    /// edges — mid-stream admission. One from-scratch rebuild; after it the
-    /// runtime behaves exactly as if it had processed every prior arrival
-    /// (stats stay zeroed: the query was not resident for those events).
+    /// Re-derives the bank, the DCS and the expiry ledger from a window that
+    /// already holds alive edges — mid-stream admission. One from-scratch
+    /// rebuild; after it the runtime behaves exactly as if it had processed
+    /// every prior arrival (stats stay zeroed: the query was not resident
+    /// for those events).
     pub fn sync_to_window<'a>(
         &mut self,
         window: &WindowGraph,
@@ -163,6 +240,54 @@ impl QueryRuntime {
         self.dcs = Dcs::new(self.dag.clone(), &self.q, window);
         self.dcs.apply(&self.q, window, lookup, &deltas);
         self.deltas_scratch = deltas;
+        self.seed_ledger(window);
+    }
+
+    /// Every alive edge's ledger charge, counted from scratch: one
+    /// enumeration per alive edge with everything that expires before it
+    /// hidden, which finds exactly the alive embeddings it is the minimum
+    /// edge of. Unbudgeted — the charges must be exact whatever budget the
+    /// stream sweeps run under.
+    fn recount_ledger(&self, window: &WindowGraph, scratch: &mut MatcherScratch) -> Ledger {
+        let cfg = EngineConfig {
+            budget: Default::default(),
+            collect_matches: false,
+            ..self.cfg
+        };
+        let mut ledger = Ledger::default();
+        for bucket in window.buckets() {
+            for rec in bucket.iter() {
+                let (src, dst) = if rec.src_is_a {
+                    (bucket.a, bucket.b)
+                } else {
+                    (bucket.b, bucket.a)
+                };
+                let sigma = TemporalEdge {
+                    key: rec.key,
+                    src,
+                    dst,
+                    time: rec.time,
+                    label: rec.label,
+                };
+                let mut m = Matcher::new(&self.q, &self.dcs, &self.bank, &cfg, 0, scratch, None);
+                m.run_seed(&sigma, false);
+                if m.found_count != 0 {
+                    ledger.insert(rec.key, m.found_count);
+                }
+            }
+        }
+        ledger
+    }
+
+    /// Seeds the ledger for a window this runtime did not watch fill
+    /// (admission, restore), fixing [`QueryRuntime::ledger_base`] against
+    /// the current counters.
+    fn seed_ledger(&mut self, window: &WindowGraph) {
+        let mut scratch = std::mem::take(&mut self.matcher_scratch);
+        self.ledger = self.recount_ledger(window, &mut scratch);
+        self.matcher_scratch = scratch;
+        self.ledger_base = (self.ledger.values().sum::<u64>() + self.stats.expired)
+            .wrapping_sub(self.stats.occurred);
     }
 
     /// The query this runtime matches.
@@ -261,19 +386,41 @@ impl QueryRuntime {
         self.dcs.apply(&self.q, window, &lookup, &deltas);
         self.recorder.stop(Phase::DcsApply, t);
         self.deltas_scratch = deltas;
-        self.find_matches_sweep(window, Sweep::Edge(edge), MatchKind::Occurred, out);
+        self.find_matches_sweep(Sweep::Edge(edge), MatchKind::Occurred, out);
         self.sample_dcs(1);
     }
 
-    /// The expiring-embedding sweep of one edge expiration. Must run while
-    /// `window` still contains `edge` (before the owner removes it).
+    /// Reports the embeddings that die with one edge expiration. Must run
+    /// while `window` still contains `edge` (before the owner removes it).
+    /// A counting runtime reads the edge's ledger charge and searches
+    /// nothing; a materialising one enumerates them, unless the charge says
+    /// there are none.
     pub fn sweep_expiring(
         &mut self,
-        window: &WindowGraph,
+        _window: &WindowGraph,
         edge: &TemporalEdge,
         out: &mut Vec<MatchEvent>,
     ) {
-        self.find_matches_sweep(window, Sweep::Edge(edge), MatchKind::Expired, out);
+        let Some(charge) = self.ledger.remove(&edge.key) else {
+            return;
+        };
+        self.report_expired(Sweep::Edge(edge), charge, out);
+    }
+
+    /// The common tail of the two expiry entry points: `charge` embeddings
+    /// die with the seeds of `sweep`.
+    fn report_expired(&mut self, sweep: Sweep<'_>, charge: u64, out: &mut Vec<MatchEvent>) {
+        if !self.cfg.collect_matches {
+            self.stats.expired += charge;
+            return;
+        }
+        let before = self.stats.expired;
+        self.find_matches_sweep(sweep, MatchKind::Expired, out);
+        debug_assert!(
+            self.stats.budget_exhausted || self.stats.expired - before == charge,
+            "expiry sweep found {} embeddings, ledger charged {charge}",
+            self.stats.expired - before
+        );
     }
 
     /// The structure update of one edge expiration. `window` must no longer
@@ -331,23 +478,36 @@ impl QueryRuntime {
             [e] => Sweep::Edge(e),
             _ => Sweep::Batch(edges, true),
         };
-        self.find_matches_sweep(window, sweep, MatchKind::Occurred, out);
+        self.find_matches_sweep(sweep, MatchKind::Occurred, out);
         self.sample_dcs(edges.len() as u64);
     }
 
-    /// The expiring-embedding sweep of one expiration batch; must run while
-    /// `window` still contains every batch edge.
+    /// [`QueryRuntime::sweep_expiring`] for one expiration batch; must run
+    /// while `window` still contains every batch edge. Only the batch edges
+    /// with a ledger charge seed a search.
     pub fn sweep_expiring_batch(
         &mut self,
-        window: &WindowGraph,
+        _window: &WindowGraph,
         edges: &[TemporalEdge],
         out: &mut Vec<MatchEvent>,
     ) {
-        let sweep = match edges {
-            [e] => Sweep::Edge(e),
-            _ => Sweep::Batch(edges, false),
-        };
-        self.find_matches_sweep(window, sweep, MatchKind::Expired, out);
+        let mut seeds = std::mem::take(&mut self.dying_seeds);
+        seeds.clear();
+        let mut charge = 0;
+        for e in edges {
+            if let Some(c) = self.ledger.remove(&e.key) {
+                charge += c;
+                seeds.push(*e);
+            }
+        }
+        if !seeds.is_empty() {
+            let sweep = match edges {
+                [e] => Sweep::Edge(e),
+                _ => Sweep::Batch(&seeds, false),
+            };
+            self.report_expired(sweep, charge, out);
+        }
+        self.dying_seeds = seeds;
     }
 
     /// The structure update of one expiration batch. `window` must no
@@ -397,21 +557,14 @@ impl QueryRuntime {
 
     /// Timed shell around the sweep body: one [`Phase::Sweep`] span per
     /// `FindMatches` invocation, occurred and expired alike.
-    fn find_matches_sweep(
-        &mut self,
-        window: &WindowGraph,
-        sweep: Sweep<'_>,
-        kind: MatchKind,
-        out: &mut Vec<MatchEvent>,
-    ) {
+    fn find_matches_sweep(&mut self, sweep: Sweep<'_>, kind: MatchKind, out: &mut Vec<MatchEvent>) {
         let t = self.recorder.start();
-        self.find_matches_sweep_inner(window, sweep, kind, out);
+        self.find_matches_sweep_inner(sweep, kind, out);
         self.recorder.stop(Phase::Sweep, t);
     }
 
     fn find_matches_sweep_inner(
         &mut self,
-        window: &WindowGraph,
         sweep: Sweep<'_>,
         kind: MatchKind,
         out: &mut Vec<MatchEvent>,
@@ -429,21 +582,26 @@ impl QueryRuntime {
         if let Sweep::Batch(edges, exclude_later) = sweep {
             if edges.len() > 1 && !self.cfg.budget_limited() {
                 if let Some(pool) = self.pool.clone() {
-                    self.sweep_parallel(window, &pool, edges, exclude_later, kind, arrival, out);
+                    self.sweep_parallel(&pool, edges, exclude_later, kind, arrival, out);
                     return;
                 }
             }
         }
         let mut scratch = std::mem::take(&mut self.matcher_scratch);
         let (s, found_count) = {
+            // Occurrences are charged to the ledger as they are found.
+            let ledger = match kind {
+                MatchKind::Occurred => Some(&mut self.ledger),
+                MatchKind::Expired => None,
+            };
             let mut m = Matcher::new(
                 &self.q,
-                window,
                 &self.dcs,
                 &self.bank,
                 &self.cfg,
                 self.stats.search_nodes,
                 &mut scratch,
+                ledger,
             );
             match sweep {
                 Sweep::Edge(edge) => {
@@ -465,10 +623,8 @@ impl QueryRuntime {
     /// its results in its own [`SeedSlot`], and lane 0 merges the slots in
     /// seed (= key = serial event) order afterwards — so the reported match
     /// stream is byte-identical to the serial sweep at any pool width.
-    #[allow(clippy::too_many_arguments)]
     fn sweep_parallel(
         &mut self,
-        window: &WindowGraph,
         pool: &WorkerPool,
         seeds: &[TemporalEdge],
         exclude_later: bool,
@@ -485,7 +641,11 @@ impl QueryRuntime {
         }
         let (q, dcs, bank, cfg) = (&self.q, &self.dcs, &self.bank, &self.cfg);
         pool.for_each_with(&mut slots[..seeds.len()], &mut lanes, |i, slot, scratch| {
-            let mut m = Matcher::new(q, window, dcs, bank, cfg, 0, scratch);
+            let ledger = match kind {
+                MatchKind::Occurred => Some(&mut slot.charges),
+                MatchKind::Expired => None,
+            };
+            let mut m = Matcher::new(q, dcs, bank, cfg, 0, scratch, ledger);
             m.run_seed(&seeds[i], exclude_later);
             slot.stats = m.stats;
             slot.found_count = m.found_count;
@@ -499,6 +659,9 @@ impl QueryRuntime {
             let s = slot.stats;
             self.merge_matcher_stats(&s, slot.found_count, kind);
             self.drain_found(&mut slot.found, kind, arrival, out);
+            for (key, n) in slot.charges.drain() {
+                *self.ledger.entry(key).or_insert(0) += n;
+            }
         }
         self.seed_slots = slots;
         self.stats.parallel_sweeps += 1;
@@ -563,9 +726,10 @@ impl QueryRuntime {
     ///   edge group in the DCS adjacency index.
     /// * **Cheap** — the stats conservation laws: `batches ≤ events`,
     ///   `kernel_early_exits ≤ kernel_invocations`, `peak ≤ sum` for both
-    ///   DCS size series, `parallel_sweeps ≤ parallel_sweep_seeds`, and
-    ///   `expired ≤ occurred` (every expiring embedding occurred first)
-    ///   unless a search budget cut occurrence sweeps short.
+    ///   DCS size series, `parallel_sweeps ≤ parallel_sweep_seeds`, and the
+    ///   expiry ledger's `Σ charges = base + occurred − expired` (module
+    ///   docs) unless a search budget cut occurrence sweeps short. Deep
+    ///   also recounts the ledger from the window, entry by entry.
     pub fn audit<'a>(
         &self,
         window: &WindowGraph,
@@ -618,6 +782,9 @@ impl QueryRuntime {
             }
             self.dcs.audit_mult(&expected, &mut out);
         }
+        // The ledger recount below searches the bank and DCS audited above:
+        // it can only judge the ledger when they are sound.
+        let structures_sound = out.is_empty();
         let s = &self.stats;
         let mut law = |name: &str, lhs: u64, rhs: u64| {
             if lhs > rhs {
@@ -643,10 +810,67 @@ impl QueryRuntime {
             s.parallel_sweeps,
             s.parallel_sweep_seeds,
         );
+        // The ledger holds exactly the alive embeddings: those alive when
+        // it was seeded, plus every occurrence, minus every expiry. (A
+        // budget abort leaves occurrences uncharged.)
         if !s.budget_exhausted {
-            law("expired <= occurred", s.expired, s.occurred);
+            let charged: u64 = self.ledger.values().sum();
+            if charged + s.expired != self.ledger_base + s.occurred {
+                out.push(AuditViolation::new(
+                    "stats-conservation",
+                    format!(
+                        "ledger charges {charged} != base {} + occurred {} - expired {}",
+                        self.ledger_base, s.occurred, s.expired
+                    ),
+                ));
+            }
+            if level.deep() && structures_sound {
+                self.audit_ledger(window, &mut out);
+            }
         }
         out
+    }
+
+    /// Deep half of the ledger audit: the table against a from-scratch
+    /// recount of the alive embeddings by minimum edge, entry by entry.
+    fn audit_ledger(&self, window: &WindowGraph, out: &mut Vec<crate::audit::AuditViolation>) {
+        let recount = self.recount_ledger(window, &mut MatcherScratch::default());
+        let mut keys: Vec<EdgeKey> = self.ledger.keys().chain(recount.keys()).copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            let (stored, fresh) = (self.ledger.get(&key), recount.get(&key));
+            if stored != fresh || stored == Some(&0) {
+                out.push(crate::audit::AuditViolation::new(
+                    "expiry-ledger",
+                    format!("charge of {key:?}: stored {stored:?}, recounted {fresh:?}"),
+                ));
+            }
+        }
+    }
+
+    /// Seeds one ledger corruption ([`crate::TcmEngine::corrupt_ledger`]):
+    /// drops the charge of the smallest charged edge that has an alive
+    /// parallel edge, re-crediting it to that neighbour when `moved`.
+    /// Returns `false` when no charged edge has one.
+    pub(crate) fn corrupt_ledger(&mut self, window: &WindowGraph, moved: bool) -> bool {
+        let mut parallel: Vec<(EdgeKey, EdgeKey)> = Vec::new();
+        for bucket in window.buckets() {
+            let keys: Vec<EdgeKey> = bucket.iter().map(|r| r.key).collect();
+            for (i, k) in keys.iter().enumerate() {
+                if keys.len() > 1 && self.ledger.contains_key(k) {
+                    parallel.push((*k, keys[(i + 1) % keys.len()]));
+                }
+            }
+        }
+        let Some(&(from, to)) = parallel.iter().min() else {
+            return false;
+        };
+        let charge = self.ledger.remove(&from).expect("picked a charged edge");
+        if moved {
+            *self.ledger.entry(to).or_insert(0) += charge;
+        }
+        true
     }
 
     /// From-scratch consistency audit of every incremental structure — the
@@ -678,7 +902,8 @@ impl QueryRuntime {
     /// stats, the filter bank tables and the DCS slabs. The query, DAG and
     /// configuration are *not* included — a snapshot manifest records them
     /// and restore reconstructs the runtime through [`QueryRuntime::new`]
-    /// before overlaying this state.
+    /// before overlaying this state — and neither is the expiry ledger,
+    /// which restore recounts from the window.
     ///
     /// Must only be called at an event boundary (between
     /// insert/sweep/delete calls), where every scratch transient is dead.
@@ -699,7 +924,7 @@ impl QueryRuntime {
     /// describes a different stream and is refused as corrupt. `window` is
     /// the already-restored window the snapshot was taken over: the DCS
     /// rebuilds its (unserialized) adjacency index from it and the restored
-    /// bank's membership.
+    /// bank's membership, and the expiry ledger is recounted over it.
     pub fn restore_state(
         &mut self,
         dec: &mut Decoder<'_>,
@@ -723,6 +948,7 @@ impl QueryRuntime {
             .restore_state(&mut sec, &self.q, window, |p| self.bank.contains(p))?;
         sec.finish()?;
         self.stats = stats;
+        self.seed_ledger(window);
         Ok(())
     }
 }

@@ -11,11 +11,16 @@ pub struct EngineStats {
     /// Delta batches processed (0 in serial mode; ≤ `events` in batched
     /// mode — the gap measures how bursty the stream's timestamps are).
     pub batches: u64,
-    /// Backtracking nodes visited (recursive `FindMatches` entries).
+    /// Backtracking nodes visited (recursive `FindMatches` entries). A
+    /// counting runtime searches on arrivals only; a materialising one also
+    /// on the expirations its expiry ledger has a charge for — so this and
+    /// the pruning/clone counters below differ between the two, while
+    /// `occurred`/`expired` never do.
     pub search_nodes: u64,
     /// Complete time-constrained embeddings reported (occurred).
     pub occurred: u64,
-    /// Expired embeddings reported.
+    /// Expired embeddings reported (read off the expiry ledger by a
+    /// counting runtime, enumerated by a materialising one).
     pub expired: u64,
     /// Candidate edges pruned by the Case-1 technique (`R⁻ = ∅` sharing).
     pub pruned_case1: u64,

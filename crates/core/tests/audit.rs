@@ -13,11 +13,21 @@ use tcsm_datasets::{profiles::SUPERUSER, QueryGen};
 use tcsm_graph::{QueryGraph, TemporalGraph};
 
 fn workload() -> (QueryGraph, TemporalGraph, i64) {
+    workload_with(77)
+}
+
+fn workload_with(qseed: u64) -> (QueryGraph, TemporalGraph, i64) {
     let g = SUPERUSER.generate(21, 0.3);
     let delta = SUPERUSER.window_sizes(0.3)[2];
     let qg = QueryGen::new(&g);
-    let q = qg.generate(6, 0.5, delta / 2, 77).expect("query");
+    let q = qg.generate(6, 0.5, delta / 2, qseed).expect("query");
     (q, g, delta)
+}
+
+/// A query with embeddings alive at the half-way point, one of them charged
+/// to an edge that has a parallel neighbour.
+fn ledger_workload() -> (QueryGraph, TemporalGraph, i64) {
+    workload_with(3)
 }
 
 /// An engine stepped halfway through the stream: live window, populated
@@ -100,6 +110,44 @@ fn stale_adjacency_group_id_is_caught() {
     assert!(
         names.contains(&"dcs-adjacency-index"),
         "stale group id not caught: {names:?}"
+    );
+}
+
+#[test]
+fn dropped_ledger_charge_is_caught() {
+    let (q, g, delta) = ledger_workload();
+    let mut e = half_run_engine(&q, &g, delta);
+    assert!(
+        e.corrupt_ledger(false),
+        "workload left no charged edge with a parallel neighbour"
+    );
+    // A lost charge breaks the conservation law, which needs no recount.
+    let cheap = e.audit_now(AuditLevel::Cheap);
+    assert!(
+        cheap.iter().any(|v| v.name() == "stats-conservation"),
+        "dropped charge not caught at Cheap: {cheap:?}"
+    );
+    let names = names(&e);
+    assert!(
+        names.contains(&"expiry-ledger"),
+        "dropped charge not caught: {names:?}"
+    );
+}
+
+#[test]
+fn ledger_charge_moved_to_a_parallel_edge_is_caught() {
+    let (q, g, delta) = ledger_workload();
+    let mut e = half_run_engine(&q, &g, delta);
+    assert!(
+        e.corrupt_ledger(true),
+        "workload left no charged edge with a parallel neighbour"
+    );
+    // The sum is intact, so only the recount can tell.
+    assert!(e.audit_now(AuditLevel::Cheap).is_empty());
+    let names = names(&e);
+    assert!(
+        names.contains(&"expiry-ledger"),
+        "moved charge not caught: {names:?}"
     );
 }
 

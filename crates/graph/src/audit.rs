@@ -16,8 +16,9 @@
 //!   from-scratch oracles: filter value slab vs a fresh `recompute_into`
 //!   per entry, bank membership vs a from-scratch `passes_all` over every
 //!   alive edge, DCS `d1`/`d2` vs a fixpoint recomputation, DCS support
-//!   counters vs a per-slot neighbour recount, and the DCS multiplicity
-//!   slab vs a recount of the alive window through the bank membership.
+//!   counters vs a per-slot neighbour recount, the DCS multiplicity slab
+//!   vs a recount of the alive window through the bank membership, and
+//!   the expiry ledger vs a recount of the alive embeddings.
 //!
 //! The level is selected by `TCSM_AUDIT` (`off` | `cheap` | `deep`, read
 //! once per process; unknown or empty values fall back to `Off`), and the
@@ -56,7 +57,8 @@
 //! | `dcs-counter` | support counter vs per-slot neighbour recount |
 //! | `dcs-mult` | multiplicity slab vs alive-window × membership recount |
 //! | `dcs-adjacency-index` | adjacency rows and group records vs multiplicity slab and membership |
-//! | `stats-conservation` | monotone counter laws (see `tcsm-core`) |
+//! | `expiry-ledger` | per-edge charges vs a recount of the alive embeddings by minimum edge |
+//! | `stats-conservation` | counter laws, incl. `Σ ledger charges = base + occurred − expired` (see `tcsm-core`) |
 
 use std::sync::OnceLock;
 

@@ -1078,6 +1078,39 @@ mod tests {
         }
     }
 
+    /// A query admitted mid-stream reports the expiry of embeddings that
+    /// occurred before it was resident, so `expired` runs ahead of
+    /// `occurred`: the Cheap audit's ledger law must account for the
+    /// embeddings alive at admission (a daemon at `TCSM_AUDIT=cheap` used to
+    /// panic here on `expired <= occurred`).
+    #[test]
+    fn cheap_audit_stays_clean_after_mid_stream_admission() {
+        let (queries, g) = workload();
+        for counting in [false, true] {
+            let mut svc = MatchService::new(&g, 10, ServiceConfig::default()).unwrap();
+            for _ in 0..20 {
+                assert!(svc.step());
+            }
+            let sink: Box<dyn ResultSink> = if counting {
+                Box::new(CountingSink::new().0)
+            } else {
+                Box::new(CollectingSink::new().0)
+            };
+            let id = svc.add_query(&queries[0], serial_cfg(), sink);
+            let mut ran_ahead = false;
+            loop {
+                let out = svc.audit_now(tcsm_core::AuditLevel::Cheap);
+                assert!(out.is_empty(), "cheap audit flagged: {out:?}");
+                let s = svc.query_stats(id).unwrap();
+                ran_ahead |= s.expired > s.occurred;
+                if !svc.step() {
+                    break;
+                }
+            }
+            assert!(ran_ahead, "workload must expire pre-admission embeddings");
+        }
+    }
+
     #[test]
     fn removal_mid_stream_leaves_other_queries_untouched() {
         let (queries, g) = workload();

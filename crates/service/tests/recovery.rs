@@ -21,8 +21,8 @@ use tcsm_graph::{
     EventQueue, QueryGraph, QueryGraphBuilder, TemporalGraph, TemporalGraphBuilder, Ts,
 };
 use tcsm_service::{
-    CollectedMatches, CollectingSink, MatchService, QueryId, RecoveryPolicy, ServiceConfig,
-    ShardPolicy, SnapshotError,
+    CollectedMatches, CollectingSink, CountingSink, MatchService, QueryId, RecoveryPolicy,
+    ResultSink, ServiceConfig, ShardPolicy, SnapshotError,
 };
 
 const MINI_SNAP: &str = include_str!("../../datasets/fixtures/mini-snap.txt");
@@ -371,6 +371,93 @@ fn restore_and_admission_rebuild_the_adjacency_index() {
         let got = got.take();
         assert_eq!(&got, suffix, "admitted twin of {id} diverged");
         assert!(straddling_occurrences(&got, &g, cut) > 0);
+    }
+}
+
+#[test]
+fn restore_seeds_the_expiry_ledger() {
+    // The expiry ledger is derived state too: a snapshot does not carry it,
+    // and the embeddings alive at the checkpoint occurred in another
+    // process. Restored behind counting sinks (expirations read off the
+    // ledger) and behind collecting ones (the ledger decides which
+    // expirations need a search), the per-step counts must equal the
+    // uninterrupted run's and the collected stream must be its suffix,
+    // under the Deep audit's per-step ledger recount.
+    let (queries, g) = workload();
+    let delta = 10;
+    let kill_at = g.edges().len(); // mid-window: the first expirations are due
+    for batching in [false, true] {
+        let cfg = svc_cfg(2, 0, batching, false);
+        let mut reference = MatchService::new(&g, delta, cfg).unwrap();
+        let handles: Vec<(QueryId, CollectedMatches)> = queries
+            .iter()
+            .map(|q| {
+                let (sink, got) = CollectingSink::new();
+                (reference.add_query(q, serial_cfg(), Box::new(sink)), got)
+            })
+            .collect();
+        for _ in 0..kill_at {
+            if !reference.step() {
+                break;
+            }
+        }
+        let dir = scratch(&format!("ledger-b{}", batching as u8));
+        reference.checkpoint(&dir).expect("checkpoint succeeds");
+        let alive_at_cut: u64 = handles
+            .iter()
+            .map(|(id, got)| {
+                got.take(); // keep only the suffix
+                let s = reference.query_stats(*id).unwrap();
+                s.occurred - s.expired
+            })
+            .sum();
+        assert!(alive_at_cut > 0, "no embedding straddles the checkpoint");
+
+        let mut collected: HashMap<QueryId, CollectedMatches> = HashMap::new();
+        let mut restored: Vec<MatchService> = [true, false]
+            .into_iter()
+            .map(|counting| {
+                let mut svc = MatchService::restore(&g, &dir, RecoveryPolicy::Strict, |qid| {
+                    if counting {
+                        Box::new(CountingSink::new().0) as Box<dyn ResultSink>
+                    } else {
+                        let (sink, got) = CollectingSink::new();
+                        collected.insert(qid, got);
+                        Box::new(sink)
+                    }
+                })
+                .expect("restore succeeds");
+                svc.set_audit(tcsm_core::AuditLevel::Deep, 1);
+                svc
+            })
+            .collect();
+        loop {
+            let more = reference.step();
+            for svc in &mut restored {
+                assert_eq!(svc.step(), more);
+                for (id, _) in &handles {
+                    let (want, got) = (reference.query_stats(*id), svc.query_stats(*id));
+                    let counts = |s: Option<&tcsm_core::EngineStats>| {
+                        s.map(|s| (s.occurred, s.expired)).expect("resident")
+                    };
+                    assert_eq!(
+                        counts(got),
+                        counts(want),
+                        "restored counts of {id} diverged at event {} (batching {batching})",
+                        reference.events_processed()
+                    );
+                }
+            }
+            if !more {
+                break;
+            }
+        }
+        for (id, got) in &handles {
+            assert_eq!(collected[id].take(), got.take(), "restored stream of {id}");
+            let s = reference.query_stats(*id).unwrap();
+            assert_eq!(s.occurred, s.expired, "the stream drains");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
